@@ -15,7 +15,6 @@
 pub mod checkpoint;
 pub mod context;
 pub mod experiments;
-pub mod hotpath;
 pub mod scenario_grid;
 
 pub use checkpoint::{CampaignStore, CheckpointDir, WriteRetry};

@@ -195,8 +195,7 @@ impl Machine for ScaleMachine {
 mod tests {
     use super::*;
     use mpisim::{
-        collapsed_run_count, GenStream, MpiOp, NullSink, OpStream, RunStats, Runtime, SignedStream,
-        StreamSignature,
+        GenStream, MpiOp, NullSink, OpStream, RunStats, Runtime, SignedStream, StreamSignature,
     };
     use simcore::MIB;
 
@@ -239,15 +238,15 @@ mod tests {
     #[test]
     fn collapsed_and_full_execution_agree_on_the_scale_machine() {
         let spec = small_spec();
-        let before = collapsed_run_count();
         let full = run(&mut spec.machine(), 32, false);
-        assert_eq!(collapsed_run_count(), before);
+        assert_eq!(full.collapsed_cohorts, 0);
         let collapsed = run(&mut spec.machine(), 32, true);
         assert!(
-            collapsed_run_count() > before,
+            collapsed.collapsed_cohorts > 0,
             "scale machine must collapse"
         );
-        assert_eq!(full, collapsed);
+        assert_eq!(full.wall_time, collapsed.wall_time);
+        assert_eq!(full.per_rank, collapsed.per_rank);
     }
 
     #[test]
@@ -263,17 +262,14 @@ mod tests {
     #[test]
     fn degraded_storage_disables_collapse_and_slows_io() {
         let spec = small_spec();
-        let before = collapsed_run_count();
         let healthy = run(&mut spec.machine(), 16, true);
-        assert!(collapsed_run_count() > before);
+        assert!(healthy.collapsed_cohorts > 0);
 
-        let at = collapsed_run_count();
         let mut degraded_machine = spec.machine().with_degraded_storage(4);
         assert!(!degraded_machine.rank_invariant());
         let degraded = run(&mut degraded_machine, 16, true);
         assert_eq!(
-            collapsed_run_count(),
-            at,
+            degraded.collapsed_cohorts, 0,
             "degraded machine must execute granularly"
         );
         assert!(

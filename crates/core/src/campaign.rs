@@ -1589,4 +1589,52 @@ mod tests {
         assert_eq!(back.label(), "timed out");
         assert!(back.is_persistable());
     }
+
+    #[test]
+    fn second_campaign_replays_every_table_from_the_memo() {
+        // A library-level IOR sweep (4 ranks, 1 MiB and 16 MiB blocks,
+        // 256 KiB transfers) on every Aohyper configuration, run twice
+        // against one memo: the second campaign computes nothing.
+        use crate::perf_table::IoLevel;
+        use simcore::MIB;
+        let spec = presets::aohyper();
+        let configs = cluster::config::aohyper_configs();
+        let opts = CharacterizeOptions {
+            records: vec![],
+            iozone_file_size: None,
+            modes: vec![],
+            ior_blocks: vec![MIB, 16 * MIB],
+            ior_ranks: 4,
+            ior_transfer: 256 * KIB,
+            levels: vec![IoLevel::Library],
+            watchdog: None,
+        };
+        let memo = Arc::new(CharactMemo::new());
+        let sup = SuperviseOptions {
+            memo: Some(memo.clone()),
+            ..SuperviseOptions::default()
+        };
+        let apps: &[AppFactory] = &[];
+        let run = || {
+            let t0 = Instant::now();
+            let campaign =
+                run_campaign_supervised(&spec, &configs, apps, &opts, &sup, &mut NoStore);
+            assert_eq!(campaign.tables.len(), configs.len());
+            t0.elapsed().as_secs_f64()
+        };
+        let cold = run();
+        let warm = run();
+        let n = configs.len() as u64;
+        assert_eq!(
+            memo.stats(),
+            (n, n),
+            "second campaign should replay every point"
+        );
+        // The warm campaign only clones tables out of the memo, so it must
+        // not be slower than the cold one by more than noise.
+        assert!(
+            warm <= cold * 1.5,
+            "warm replay ({warm:.4} s) slower than cold compute ({cold:.4} s)"
+        );
+    }
 }

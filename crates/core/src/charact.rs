@@ -564,4 +564,38 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
     }
+
+    #[test]
+    fn characterization_is_identical_with_and_without_collector() {
+        // Observation is pure: a characterization run under a collector
+        // produces byte-identical tables to an unobserved run, the
+        // collector saw the sweep's events, and no run leaves a sink
+        // installed behind it (unobserved runs stay on the zero-cost path).
+        let (spec, config) = quick_setup();
+        let opts = CharacterizeOptions::quick();
+        assert!(!simcore::obs::enabled(), "no sink installed at start");
+        let plain = characterize_system(&spec, &config, &opts).expect("characterize");
+        assert!(
+            !simcore::obs::enabled(),
+            "an unobserved characterization must not leave a sink installed"
+        );
+        let collector = crate::obs::Collector::new();
+        let observed = {
+            let _guard = collector.install();
+            characterize_system(&spec, &config, &opts).expect("characterize observed")
+        };
+        assert!(
+            !simcore::obs::enabled(),
+            "dropping the guard must uninstall the collector"
+        );
+        assert_eq!(
+            plain.to_json(),
+            observed.to_json(),
+            "a collector must not perturb characterization"
+        );
+        assert!(
+            collector.metrics().total_ops() > 0,
+            "the collector should have observed the sweep"
+        );
+    }
 }

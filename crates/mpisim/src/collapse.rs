@@ -28,15 +28,6 @@ use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use netsim::NodeId;
 use simcore::{Abort, Time, Watchdog};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static COLLAPSED_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of runs that took the collapsed path since process start.
-/// Diagnostic: tests and the bench harness assert engagement with it.
-pub fn collapsed_run_count() -> u64 {
-    COLLAPSED_RUNS.load(Ordering::Relaxed)
-}
 
 /// Decides whether a run may execute collapsed. Returns the cohorts
 /// (each a list of ranks sharing one signature and node class, lowest
@@ -97,8 +88,8 @@ pub(crate) fn run(
     sink: &mut dyn TraceSink,
     mut watchdog: Option<Watchdog>,
 ) -> Result<RunStats, Abort> {
-    COLLAPSED_RUNS.fetch_add(1, Ordering::Relaxed);
     let world = programs.len();
+    let collapsed_cohorts = cohorts.iter().filter(|ranks| ranks.len() > 1).count();
     let emit_members = sink.wants_cohort_members() || simcore::obs::enabled();
     let mut slots: Vec<Option<Box<dyn OpStream>>> = programs.into_iter().map(Some).collect();
     let mut execs: Vec<CohortExec> = cohorts
@@ -160,6 +151,7 @@ pub(crate) fn run(
     let mut stats = RunStats {
         wall_time: Time::ZERO,
         per_rank: Vec::new(),
+        collapsed_cohorts,
     };
     let mut per: Vec<Option<RankStats>> = Vec::new();
     per.resize_with(world, || None);

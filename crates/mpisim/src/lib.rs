@@ -24,7 +24,6 @@ pub mod op;
 pub mod runtime;
 pub mod trace;
 
-pub use collapse::collapsed_run_count;
 pub use machine::Machine;
 pub use op::{
     ChainStream, ChunkedStream, GenStream, MpiOp, OpStream, SignedStream, StreamSignature,

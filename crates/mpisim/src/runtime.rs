@@ -65,6 +65,11 @@ pub struct RunStats {
     pub wall_time: Time,
     /// Per-rank statistics.
     pub per_rank: Vec<RankStats>,
+    /// Rank cohorts of two or more ranks that ran as one representative
+    /// (see [`crate::collapse`]); 0 when the run executed granularly.
+    /// Engine telemetry, not a result: equivalence checks compare
+    /// `wall_time` and `per_rank`.
+    pub collapsed_cohorts: usize,
 }
 
 impl RunStats {
@@ -266,8 +271,9 @@ impl Runtime {
     /// Enables or disables the collapsed execution of symmetric rank
     /// cohorts (see [`crate::collapse`]; on by default). Collapse only
     /// ever engages when machine, programs and placement all prove
-    /// symmetric, so disabling it changes speed, never results — the
-    /// bench harness uses this toggle to measure exactly that speedup.
+    /// symmetric, so disabling it changes speed, never results; it is the
+    /// granular reference path the equivalence tests and the scale
+    /// speedup gate compare against.
     pub fn with_collapse(mut self, enabled: bool) -> Runtime {
         self.collapse = enabled;
         self
@@ -401,6 +407,7 @@ impl Runtime {
         let mut stats = RunStats {
             wall_time: Time::ZERO,
             per_rank: Vec::with_capacity(world),
+            collapsed_cohorts: 0,
         };
         for ctx in &mut exec.ranks {
             ctx.stats.end = ctx.t;

@@ -2,12 +2,16 @@
 //! granular execution on symmetric programs — same `RunStats` (wall time
 //! and every per-rank counter) and the same per-rank trace event
 //! sequences, with the collapsed path provably engaged.
+//!
+//! Engagement is read from each run's own `RunStats::collapsed_cohorts`,
+//! so the tests here run in parallel without observing one another. The
+//! chaos gate lives in `collapse_chaos.rs`: installing a chaos plan is
+//! process-wide and would stand collapse down under these tests.
 
 use fs::{FileId, MetaVerb};
 use mpisim::machine::FixedMachine;
 use mpisim::{
-    collapsed_run_count, MpiOp, OpStream, Runtime, SignedStream, StreamSignature, TraceEvent,
-    VecSink, VecStream,
+    MpiOp, OpStream, Runtime, SignedStream, StreamSignature, TraceEvent, VecSink, VecStream,
 };
 use proptest::prelude::*;
 use simcore::Time;
@@ -110,16 +114,16 @@ proptest! {
         // All-singleton cohorts (every rank its own group) correctly stay
         // granular; pigeonhole world > groups guarantees a real cohort.
         prop_assume!(world > groups);
-        let before = collapsed_run_count();
         let (full, full_events) = run(world, groups, &rounds, false);
-        prop_assert_eq!(collapsed_run_count(), before, "toggle off must stay granular");
+        prop_assert_eq!(full.collapsed_cohorts, 0, "toggle off must stay granular");
         let (collapsed, collapsed_events) = run(world, groups, &rounds, true);
         prop_assert!(
-            collapsed_run_count() > before,
+            collapsed.collapsed_cohorts > 0,
             "symmetric run on a rank-invariant machine must collapse"
         );
 
-        prop_assert_eq!(&full, &collapsed);
+        prop_assert_eq!(full.wall_time, collapsed.wall_time);
+        prop_assert_eq!(&full.per_rank, &collapsed.per_rank);
         // Per-rank trace sequences are identical, not merely equinumerous:
         // symmetric ranks share the representative's exact timings.
         let full_per = per_rank_events(&full_events, world);
@@ -130,7 +134,6 @@ proptest! {
 
 #[test]
 fn unsigned_programs_stay_granular() {
-    let before = collapsed_run_count();
     let placement = [0usize, 1];
     let mut machine = FixedMachine::new(2);
     let mut sink = VecSink::new();
@@ -140,46 +143,24 @@ fn unsigned_programs_stay_granular() {
                 as Box<dyn OpStream>
         })
         .collect();
-    Runtime::default().run(&mut machine, &placement, programs, &mut sink);
-    assert_eq!(collapsed_run_count(), before);
+    let stats = Runtime::default().run(&mut machine, &placement, programs, &mut sink);
+    assert_eq!(stats.collapsed_cohorts, 0);
 }
 
 #[test]
 fn shared_nodes_stay_granular() {
-    let before = collapsed_run_count();
     let placement = [0usize, 0];
     let mut machine = FixedMachine::new(1);
     let mut sink = VecSink::new();
-    Runtime::default().run(
+    let stats = Runtime::default().run(
         &mut machine,
         &placement,
         signed_programs(2, 1, &[0, 1, 3]),
         &mut sink,
     );
     assert_eq!(
-        collapsed_run_count(),
-        before,
+        stats.collapsed_cohorts, 0,
         "two ranks on one node must not collapse"
-    );
-}
-
-#[test]
-fn chaos_injection_disables_collapse() {
-    let _guard = simcore::chaos::install(simcore::chaos::HostFaultPlan::none());
-    let before = collapsed_run_count();
-    let placement = [0usize, 1];
-    let mut machine = FixedMachine::new(2);
-    let mut sink = VecSink::new();
-    Runtime::default().run(
-        &mut machine,
-        &placement,
-        signed_programs(2, 1, &[0, 1, 3]),
-        &mut sink,
-    );
-    assert_eq!(
-        collapsed_run_count(),
-        before,
-        "active chaos must force granular execution"
     );
 }
 

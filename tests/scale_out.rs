@@ -18,6 +18,7 @@ use ioeval_core::perf_table::IoLevel;
 use simcore::{Bandwidth, KIB, MIB};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::time::Instant;
 use workloads::ior::{Ior, IorOp};
 
 /// A library-level-only sweep at 1024 ranks: one 256 KiB block per rank,
@@ -60,28 +61,37 @@ fn campaign_at_1024_ranks_renders_byte_identical_across_jobs() {
     assert_eq!(seq_tables, par_tables, "jobs=4 tables differ at 1024 ranks");
 }
 
-/// Runs the 1024-rank IOR sweep on the scale testbed and renders one line
-/// per point, with the collapse toggle under test.
-fn scale_ior_table(collapse: bool) -> String {
+/// One point of the 1024-rank IOR sweep on the leaf-spine scale testbed,
+/// with the collapse toggle under test. The scenario's mounts and
+/// preallocation are `ClusterMachine` concerns; the scale machine models
+/// the PFS itself, so the rank programs run on it directly.
+fn scale_ior_point(block: u64, op: IorOp, collapse: bool) -> mpisim::RunStats {
     let spec = scale_1024();
     let placement = spec.placement(1024);
+    let programs = Ior::new(1024, fs::FileId(0x5CA1E), block, op)
+        .scenario()
+        .programs;
+    let mut machine = spec.machine();
+    mpisim::Runtime::default().with_collapse(collapse).run(
+        &mut machine,
+        &placement,
+        programs,
+        &mut mpisim::NullSink,
+    )
+}
+
+/// Renders the sweep one line per point; also returns how many of its
+/// points ran collapsed.
+fn scale_ior_table(collapse: bool) -> (String, usize) {
     let mut out = String::from(
         "# cluster=scale-1024 sweep=IOR ranks=1024 transfer=256K\n\
          # OperationType | Blocksize | transferRate\n",
     );
+    let mut collapsed_points = 0;
     for block in [MIB, 4 * MIB] {
         for op in [IorOp::Write, IorOp::Read] {
-            let programs = Ior::new(1024, fs::FileId(0x5CA1E), block, op)
-                .scenario()
-                .programs;
-            let mut machine = spec.machine();
-            let mut sink = mpisim::NullSink;
-            let stats = mpisim::Runtime::default().with_collapse(collapse).run(
-                &mut machine,
-                &placement,
-                programs,
-                &mut sink,
-            );
+            let stats = scale_ior_point(block, op, collapse);
+            collapsed_points += usize::from(stats.collapsed_cohorts > 0);
             let _ = writeln!(
                 out,
                 "{op:?} | {} | {}",
@@ -90,18 +100,17 @@ fn scale_ior_table(collapse: bool) -> String {
             );
         }
     }
-    out
+    (out, collapsed_points)
 }
 
 #[test]
 fn golden_collapsed_scale_ior_table() {
-    let before = mpisim::collapsed_run_count();
-    let full = scale_ior_table(false);
-    assert_eq!(mpisim::collapsed_run_count(), before);
-    let collapsed = scale_ior_table(true);
-    assert!(
-        mpisim::collapsed_run_count() > before,
-        "the 1024-rank sweep must engage the rank-group fast path"
+    let (full, full_points) = scale_ior_table(false);
+    assert_eq!(full_points, 0, "toggle off must stay granular");
+    let (collapsed, collapsed_points) = scale_ior_table(true);
+    assert_eq!(
+        collapsed_points, 4,
+        "every point of the 1024-rank sweep must engage the rank-group fast path"
     );
     // Equivalence first: the collapsed table IS the full table.
     assert_eq!(full, collapsed, "collapsed execution drifted from granular");
@@ -124,5 +133,43 @@ fn golden_collapsed_scale_ior_table() {
          If the model change is intended, regenerate with IOEVAL_REGEN_GOLDEN=1 \
          and review the diff.\n--- expected ---\n{expected}\n--- actual ---\n{collapsed}",
         path.display()
+    );
+}
+
+/// The rank-group fast path's reason to exist: the 1024-rank IOR sweep
+/// (16 MiB and 64 MiB blocks, write then read) runs at least 10x faster
+/// collapsed than granular, with identical results. Host-timed, so it is
+/// ignored by default; run it in release:
+/// `cargo test --release --test scale_out -- --include-ignored`.
+#[test]
+#[ignore = "host-timed speedup gate; run in release with --include-ignored"]
+fn collapse_speeds_up_the_1024_rank_sweep_tenfold() {
+    let sweep = |collapse: bool| {
+        let t0 = Instant::now();
+        let mut points = Vec::new();
+        for block in [16 * MIB, 64 * MIB] {
+            for op in [IorOp::Write, IorOp::Read] {
+                points.push(scale_ior_point(block, op, collapse));
+            }
+        }
+        (t0.elapsed().as_secs_f64(), points)
+    };
+    let (full_s, full) = sweep(false);
+    let (collapsed_s, collapsed) = sweep(true);
+    for (f, c) in full.iter().zip(&collapsed) {
+        assert_eq!(f.collapsed_cohorts, 0, "toggle off must stay granular");
+        assert!(c.collapsed_cohorts > 0, "the sweep must collapse");
+        assert_eq!(f.wall_time, c.wall_time);
+        assert_eq!(f.per_rank, c.per_rank);
+    }
+    let speedup = full_s / collapsed_s.max(1e-9);
+    eprintln!(
+        "1024-rank IOR sweep: granular {:.1} ms, collapsed {:.1} ms, speedup {speedup:.1}x",
+        full_s * 1e3,
+        collapsed_s * 1e3
+    );
+    assert!(
+        speedup >= 10.0,
+        "collapse speedup {speedup:.1}x is below the 10x gate"
     );
 }
