@@ -5,7 +5,7 @@
 //! ```text
 //! repro [--scale quick|paper] [--out FILE] [--checkpoint DIR | --resume DIR]
 //!       [--deadline SECS] [--wall-budget SECS] [--jobs N] [--no-memo]
-//!       [--memo-stats] [--trace-out FILE] [--trace-format jsonl|chrome] [--metrics]
+//!       [--trace-out FILE] [--trace-format jsonl|chrome] [--metrics]
 //!       [--chaos-seed N] [--chaos-profile NAME] [--chaos-repro TOKEN]
 //!       [--pfs-profile full|fail|recover|none] [--strict-store]
 //!       [--grammar FILE] [--sample N] [--seed S]
@@ -38,18 +38,18 @@
 //! livelocked or runaway simulation aborts instead of hanging the
 //! campaign); `--wall-budget SECS` adds a host-time ceiling per run.
 //!
-//! `--jobs N` runs campaign experiments on N worker threads (default 1,
-//! or the `IOEVAL_JOBS` environment variable). Parallel campaigns merge
-//! deterministically: the rendered output and every checkpoint file are
-//! byte-identical to a sequential run — `--jobs` only trades wall-clock
-//! for cores.
+//! `--jobs N` runs campaign experiments on N worker threads (default 1).
+//! Parallel campaigns merge deterministically: the rendered output and
+//! every checkpoint file are byte-identical to a sequential run — `--jobs`
+//! only trades wall-clock for cores.
 //!
-//! Characterizations are memoized in-process by default: revisiting the
-//! same `(cluster, configuration, sweep)` point replays the cached tables
-//! instead of re-simulating the sweep. The memo is a pure cache — output
-//! is byte-identical with or without it — and its hit/miss counts are
-//! reported to stderr at the end of the run. `--no-memo` disables it
-//! (every characterization is recomputed), for timing studies.
+//! Characterizations are memoized in-process by default: every sweep
+//! point measured once replays instead of re-simulating, so revisiting a
+//! `(cluster, configuration, sweep)` triple replays all of it. The memo is
+//! a pure cache — output is byte-identical with or without it — and its
+//! hit/miss counts are reported to stderr at the end of the run.
+//! `--no-memo` disables it (every characterization is recomputed), for
+//! timing studies.
 //!
 //! `--trace-out FILE` records the I/O-path event stream of every directly
 //! evaluated run and writes it at exit: schema-versioned JSONL by default
@@ -97,7 +97,6 @@ fn main() {
     let mut wall_budget_secs: Option<u64> = None;
     let mut jobs: Option<usize> = None;
     let mut no_memo = false;
-    let mut memo_stats = false;
     let mut trace_out: Option<String> = None;
     let mut trace_chrome = false;
     let mut metrics = false;
@@ -155,7 +154,6 @@ fn main() {
                 );
             }
             "--no-memo" => no_memo = true,
-            "--memo-stats" => memo_stats = true,
             "--trace-out" => {
                 i += 1;
                 trace_out = Some(
@@ -240,19 +238,6 @@ fn main() {
     }
 
     if selected.is_empty() {
-        if memo_stats {
-            // Report the memo state without running any experiments. The
-            // memo is in-process, so a fresh invocation reports an empty
-            // cache — useful as a machine-checkable baseline and as the
-            // no-rerun form of the report experiments print at exit.
-            let repro = if no_memo {
-                Repro::new(scale).without_memo()
-            } else {
-                Repro::new(scale)
-            };
-            print_memo_report(&repro);
-            return;
-        }
         usage();
         return;
     }
@@ -413,9 +398,6 @@ fn main() {
             "[repro] charact memo: {hits} hits, {misses} misses ({ph} phase hits, {pm} phase misses)"
         );
     }
-    if memo_stats {
-        print_memo_report(&repro);
-    }
     if let Some(path) = out_file {
         let mut f = std::fs::File::create(&path)
             .unwrap_or_else(|e| die(&format!("cannot create {path}: {e}")));
@@ -452,18 +434,6 @@ fn main() {
     }
 }
 
-/// The `--memo-stats` report: whole-triple and phase-level counters of the
-/// characterization memo, on stdout so it can be machine-checked.
-fn print_memo_report(repro: &Repro) {
-    match (repro.memo_stats(), repro.memo_phase_stats()) {
-        (Some((hits, misses)), Some((ph, pm))) => {
-            println!("charact memo: {hits} hits, {misses} misses");
-            println!("phase memo:   {ph} hits, {pm} misses");
-        }
-        _ => println!("charact memo: disabled (--no-memo)"),
-    }
-}
-
 fn parse_secs(arg: Option<&String>, flag: &str) -> u64 {
     arg.and_then(|s| s.parse().ok())
         .unwrap_or_else(|| die(&format!("expected {flag} SECS")))
@@ -473,7 +443,6 @@ fn usage() {
     eprintln!(
         "usage: repro [--scale quick|paper] [--out FILE] [--checkpoint DIR | --resume DIR]\n\
          \x20            [--deadline SECS] [--wall-budget SECS] [--jobs N] [--no-memo]\n\
-         \x20            [--memo-stats]\n\
          \x20            [--trace-out FILE] [--trace-format jsonl|chrome] [--metrics]\n\
          \x20            [--chaos-seed N] [--chaos-profile store|panic|memo|trace|mixed]\n\
          \x20            [--chaos-repro TOKEN] [--pfs-profile full|fail|recover|none]\n\
@@ -483,11 +452,9 @@ fn usage() {
          --checkpoint/--resume persist finished work to DIR and replay it on rerun;\n\
          --deadline arms a simulated-time watchdog, --wall-budget a host-time ceiling;\n\
          --jobs runs campaign cells on N workers (deterministic merge: output is\n\
-         byte-identical to --jobs 1; defaults to $IOEVAL_JOBS, else 1);\n\
+         byte-identical to --jobs 1; defaults to 1);\n\
          --no-memo disables the in-process characterization memo (pure cache:\n\
          output is byte-identical either way; hit/miss counts go to stderr);\n\
-         --memo-stats prints the memo report (whole-triple and phase counters)\n\
-         to stdout — with no experiments selected it reports without running;\n\
          --trace-out records the I/O-path event stream of every evaluated run\n\
          (schema-versioned JSONL; --trace-format chrome for chrome://tracing);\n\
          --metrics appends an aggregated per-level metrics table to the report;\n\

@@ -42,7 +42,7 @@ use std::time::Duration;
 
 /// Bump when the on-disk layout of any payload changes; older checkpoints
 /// are then recomputed instead of misparsed.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// 64-bit FNV-1a — tiny, dependency-free, and plenty to catch truncation
 /// and bit-flips (this is integrity, not authentication).
@@ -460,18 +460,21 @@ mod tests {
         fs::write(&path, tampered).unwrap();
         assert_eq!(dir.load("x"), None);
 
-        // Unknown future version: recompute rather than misparse.
-        fs::write(
-            &path,
-            String::from_utf8(full).unwrap().replacen(
-                &format!("\"version\":{CHECKPOINT_VERSION}"),
-                "\"version\":999",
-                1,
-            ),
-        )
-        .unwrap();
-        assert_eq!(dir.load("x"), None);
-        assert_eq!(dir.health().quarantined, 3);
+        // Another format version, future or past (v1 serialized reports
+        // without their zero-valued fields): recompute rather than misparse.
+        for other in ["\"version\":999", "\"version\":1"] {
+            fs::write(
+                &path,
+                String::from_utf8(full.clone()).unwrap().replacen(
+                    &format!("\"version\":{CHECKPOINT_VERSION}"),
+                    other,
+                    1,
+                ),
+            )
+            .unwrap();
+            assert_eq!(dir.load("x"), None, "{other}");
+        }
+        assert_eq!(dir.health().quarantined, 4);
 
         // A fresh save heals the key completely.
         dir.save("x", "recomputed");

@@ -120,25 +120,18 @@ struct ReproObs {
 }
 
 impl Repro {
-    /// A fresh context. The campaign worker count defaults to the
-    /// `IOEVAL_JOBS` environment variable (when set to a positive
-    /// integer), else 1 — parallelism is opt-in, so published outputs
-    /// stay reproducible by default. Parallel campaigns are
-    /// byte-identical to sequential ones anyway; the knob only trades
-    /// wall-clock for cores.
+    /// A fresh context running campaigns on one worker
+    /// ([`Repro::with_jobs`] opts into more; parallel campaigns are
+    /// byte-identical to sequential ones, the knob only trades wall-clock
+    /// for cores).
     pub fn new(scale: Scale) -> Repro {
-        let jobs = std::env::var("IOEVAL_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&j| j >= 1)
-            .unwrap_or(1);
         Repro {
             scale,
             tables: HashMap::new(),
             reports: HashMap::new(),
             store: None,
             watchdog: None,
-            jobs,
+            jobs: 1,
             memo: Some(Arc::new(CharactMemo::new())),
             obs: None,
             pfs_profile: PfsFaultProfile::default(),
@@ -245,20 +238,20 @@ impl Repro {
         self
     }
 
-    /// `(hits, misses)` of the characterization memo, when one is enabled.
+    /// `(hits, misses)` of the characterization memo, when one is enabled:
+    /// a hit replayed every phase of a characterization, a miss computed
+    /// at least one.
     pub fn memo_stats(&self) -> Option<(u64, u64)> {
         self.memo.as_ref().map(|m| m.stats())
     }
 
-    /// `(phase hits, phase misses)` of the characterization memo — the
-    /// per-measurement granularity that replays individual sweep points
-    /// even when the whole-triple key misses.
+    /// `(phase hits, phase misses)` of the characterization memo — one
+    /// count per measurement point of every sweep.
     pub fn memo_phase_stats(&self) -> Option<(u64, u64)> {
         self.memo.as_ref().map(|m| m.phase_stats())
     }
 
-    /// Sets the campaign worker count (clamped to at least 1); overrides
-    /// `IOEVAL_JOBS`.
+    /// Sets the campaign worker count (clamped to at least 1).
     pub fn with_jobs(mut self, jobs: usize) -> Repro {
         self.jobs = jobs.max(1);
         self
@@ -376,15 +369,11 @@ impl Repro {
             .as_mut()
             .and_then(|s| s.load_tables(&spec.name, &config.name))
             .filter(|t| opts.levels.iter().all(|&l| t.get(l).is_some()));
-        // The process-wide memo sits between the checkpoint directory and a
-        // fresh computation, so campaign cells and direct characterizations
-        // share one cache (keyed by the full `(spec, config, opts)` digest,
-        // not just the names).
-        let memo_key = self
-            .memo
-            .as_deref()
-            .map(|m| (m, CharactMemo::key(spec, config, &opts)));
-        let set = match restored.or_else(|| memo_key.and_then(|(m, k)| m.get(k))) {
+        // The process-wide phase memo sits between the checkpoint
+        // directory and a fresh computation, so campaign cells and direct
+        // characterizations share one cache (keyed by the full
+        // `(spec, config, opts)` of every phase, not just the names).
+        let set = match restored {
             Some(t) => t,
             None => {
                 let t = characterize_system_memo(spec, config, &opts, self.memo.as_deref())
@@ -396,9 +385,6 @@ impl Repro {
                     });
                 if let Some(s) = self.store.as_mut() {
                     s.save_tables(&t);
-                }
-                if let Some((m, k)) = memo_key {
-                    m.put(k, t.clone());
                 }
                 t
             }

@@ -1,32 +1,8 @@
-//! Smoke test: every registered experiment runs at quick scale and
-//! produces non-trivial output.
-//!
-//! Ignored by default because it executes the full harness (about a minute
-//! in release mode; considerably longer in debug). Run it with:
-//!
-//! ```text
-//! cargo test -p bench --release --test harness_smoke -- --ignored
-//! ```
+//! Smoke test: one cheap registered experiment runs in a debug build.
+//! Every experiment is driven through the `repro` binary by
+//! `tests/repro_matrix.rs`.
 
-use bench::experiments::registry;
 use bench::{Repro, Scale};
-
-#[test]
-#[ignore = "runs the whole quick-scale harness (~1 min in release)"]
-fn every_experiment_runs_at_quick_scale() {
-    let mut repro = Repro::new(Scale::Quick);
-    for (id, _desc, f) in registry() {
-        let out = f(&mut repro);
-        assert!(
-            out.len() > 100,
-            "experiment {id} produced suspiciously little output:\n{out}"
-        );
-        assert!(
-            !out.contains("NaN") && !out.contains("inf"),
-            "experiment {id} produced non-finite numbers"
-        );
-    }
-}
 
 #[test]
 fn single_cheap_experiment_runs_in_debug() {

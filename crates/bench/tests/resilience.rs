@@ -167,36 +167,3 @@ fn same_seed_campaigns_render_identically() {
         "fault-injected campaigns must be deterministic"
     );
 }
-
-#[test]
-#[ignore = "characterizes Aohyper at quick scale (slow in debug)"]
-fn resilience_experiment_renders_the_full_table() {
-    let mut repro = bench::Repro::new(bench::Scale::Quick);
-    let out = bench::experiments::resilience(&mut repro);
-    for needle in [
-        "Resilience",
-        "healthy",
-        "degraded",
-        "rebuilding",
-        "PFS resilience",
-        "pfs-degraded",
-        "pfs-recovered",
-    ] {
-        assert!(out.contains(needle), "missing {needle} in:\n{out}");
-    }
-    assert!(!out.contains("NaN") && !out.contains("inf"));
-}
-
-#[test]
-#[ignore = "characterizes Aohyper at quick scale (slow in debug)"]
-fn resilience_experiment_is_byte_identical_across_jobs() {
-    let run = |jobs: usize| {
-        let mut repro = bench::Repro::new(bench::Scale::Quick).with_jobs(jobs);
-        bench::experiments::resilience(&mut repro)
-    };
-    assert_eq!(
-        run(1),
-        run(4),
-        "the PFS failover campaign must render identically under --jobs 1 and --jobs 4"
-    );
-}

@@ -1029,38 +1029,19 @@ pub fn run_campaign_supervised(
                 match restored {
                     Some(t) => CharAttempt::Restored(t),
                     None => {
-                        // The memo replays a previously computed identical
-                        // point; a hit still checkpoints, so the store ends
-                        // up byte-identical to a memo-less run.
-                        let memo_key = sup
-                            .memo
-                            .as_deref()
-                            .map(|m| (m, CharactMemo::key(spec, config, &copts)));
-                        let replayed = memo_key.and_then(|(m, k)| m.get(k));
-                        match replayed {
-                            Some(t) => {
+                        // The phase memo replays every point an earlier
+                        // sweep measured; the result is checkpointed either
+                        // way, so the store ends up byte-identical to a
+                        // memo-less run.
+                        let memo = sup.memo.as_deref();
+                        match run_isolated(|| characterize_system_memo(spec, config, &copts, memo))
+                        {
+                            Ok(Ok(t)) => {
                                 store_mx.lock().expect("store lock").save_tables(&t);
                                 CharAttempt::Computed(t)
                             }
-                            None => {
-                                // Whole-triple miss: compute, consulting the
-                                // phase memo so points shared with earlier
-                                // (differently keyed) sweeps still replay.
-                                let phase_memo = sup.memo.as_deref();
-                                match run_isolated(|| {
-                                    characterize_system_memo(spec, config, &copts, phase_memo)
-                                }) {
-                                    Ok(Ok(t)) => {
-                                        store_mx.lock().expect("store lock").save_tables(&t);
-                                        if let Some((m, k)) = memo_key {
-                                            m.put(k, t.clone());
-                                        }
-                                        CharAttempt::Computed(t)
-                                    }
-                                    Ok(Err(e)) => CharAttempt::Failed(e.to_string()),
-                                    Err(panic) => CharAttempt::Failed(format!("panic: {panic}")),
-                                }
-                            }
+                            Ok(Err(e)) => CharAttempt::Failed(e.to_string()),
+                            Err(panic) => CharAttempt::Failed(format!("panic: {panic}")),
                         }
                     }
                 }

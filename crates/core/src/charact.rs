@@ -211,7 +211,7 @@ fn characterize_fs_level(
     config: &IoConfig,
     opts: &CharacterizeOptions,
     level: IoLevel,
-    memo: Option<&CharactMemo>,
+    memo: &mut PhaseMemo<'_>,
 ) -> Result<PerfTable, CharactError> {
     let mount = match level {
         IoLevel::LocalFs => Mount::ServerLocal,
@@ -241,31 +241,27 @@ fn characterize_fs_level(
                 // The phase key names everything that shapes this one
                 // measurement: the machine, the point, and the watchdog
                 // budget (an aborted sweep must not alias a finished one).
-                let key = CharactMemo::phase_key(&format!(
-                    "fs|{spec:?}|{config:?}|{level:?}|{mode:?}|{op:?}|record={record}|file={file_size}|wd={:?}",
-                    opts.watchdog
-                ));
-                if let Some(row) = memo.and_then(|m| m.phase_get(key)) {
-                    table.insert(row);
-                    continue;
-                }
-                let run = IozoneRun::new(CHARACT_FILE, file_size, record, iozone_pattern(op, mode))
-                    .on(mount);
-                let stats = run_fresh(spec, config, run.scenario(), opts.watchdog.as_ref())?;
-                let (rate, iops, latency) = point_metrics(&stats);
-                let row = PerfRow {
-                    op,
-                    block: record,
-                    access: level.access_type(),
-                    mode,
-                    rate,
-                    iops,
-                    latency,
+                let descriptor = |machine: &str| {
+                    format!(
+                        "fs|{machine}|{level:?}|{mode:?}|{op:?}|record={record}|file={file_size}|wd={:?}",
+                        opts.watchdog
+                    )
                 };
-                if let Some(m) = memo {
-                    m.phase_put(key, row);
-                }
-                table.insert(row);
+                table.insert(memo.row(descriptor, || {
+                    let pattern = iozone_pattern(op, mode);
+                    let run = IozoneRun::new(CHARACT_FILE, file_size, record, pattern).on(mount);
+                    let stats = run_fresh(spec, config, run.scenario(), opts.watchdog.as_ref())?;
+                    let (rate, iops, latency) = point_metrics(&stats);
+                    Ok(PerfRow {
+                        op,
+                        block: record,
+                        access: level.access_type(),
+                        mode,
+                        rate,
+                        iops,
+                        latency,
+                    })
+                })?);
             }
         }
     }
@@ -277,19 +273,17 @@ fn characterize_library_level(
     spec: &ClusterSpec,
     config: &IoConfig,
     opts: &CharacterizeOptions,
-    memo: Option<&CharactMemo>,
+    memo: &mut PhaseMemo<'_>,
 ) -> Result<PerfTable, CharactError> {
     let mut table = PerfTable::new();
     for &block in &opts.ior_blocks {
         for op in [OpType::Write, OpType::Read] {
-            let key = CharactMemo::phase_key(&format!(
-                "lib|{spec:?}|{config:?}|{op:?}|block={block}|ranks={}|transfer={}|wd={:?}",
-                opts.ior_ranks, opts.ior_transfer, opts.watchdog
-            ));
-            if let Some(row) = memo.and_then(|m| m.phase_get(key)) {
-                table.insert(row);
-                continue;
-            }
+            let descriptor = |machine: &str| {
+                format!(
+                    "lib|{machine}|{op:?}|block={block}|ranks={}|transfer={}|wd={:?}",
+                    opts.ior_ranks, opts.ior_transfer, opts.watchdog
+                )
+            };
             let ior = Ior {
                 ranks: opts.ior_ranks,
                 file: CHARACT_FILE,
@@ -310,21 +304,19 @@ fn characterize_library_level(
                     Mount::NfsDirect
                 },
             };
-            let stats = run_fresh(spec, config, ior.scenario(), opts.watchdog.as_ref())?;
-            let (rate, iops, latency) = point_metrics(&stats);
-            let row = PerfRow {
-                op,
-                block,
-                access: IoLevel::Library.access_type(),
-                mode: AccessMode::Sequential,
-                rate,
-                iops,
-                latency,
-            };
-            if let Some(m) = memo {
-                m.phase_put(key, row);
-            }
-            table.insert(row);
+            table.insert(memo.row(descriptor, || {
+                let stats = run_fresh(spec, config, ior.scenario(), opts.watchdog.as_ref())?;
+                let (rate, iops, latency) = point_metrics(&stats);
+                Ok(PerfRow {
+                    op,
+                    block,
+                    access: IoLevel::Library.access_type(),
+                    mode: AccessMode::Sequential,
+                    rate,
+                    iops,
+                    latency,
+                })
+            })?);
         }
     }
     Ok(table)
@@ -340,32 +332,77 @@ pub fn characterize_system(
     characterize_system_memo(spec, config, opts, None)
 }
 
+/// The memo as one characterization sees it: the `{spec:?}|{config:?}`
+/// prefix every phase key shares, rendered once, and whether any phase
+/// had to be measured.
+struct PhaseMemo<'a> {
+    memo: Option<&'a CharactMemo>,
+    machine: String,
+    measured: bool,
+}
+
+impl PhaseMemo<'_> {
+    /// One phase's row: replayed when the memo holds the phase that
+    /// `descriptor(machine)` names, else produced by `measure` and stored.
+    fn row(
+        &mut self,
+        descriptor: impl FnOnce(&str) -> String,
+        measure: impl FnOnce() -> Result<PerfRow, CharactError>,
+    ) -> Result<PerfRow, CharactError> {
+        let Some(memo) = self.memo else {
+            return measure();
+        };
+        let key = CharactMemo::phase_key(&descriptor(&self.machine));
+        if let Some(row) = memo.phase_get(key) {
+            return Ok(row);
+        }
+        self.measured = true;
+        let row = measure()?;
+        memo.phase_put(key, row);
+        Ok(row)
+    }
+}
+
 /// [`characterize_system`] with phase-granular memoization: each
 /// `(workload, point)` measurement consults `memo` before simulating and
 /// stores its row after. A memo hit replays the exact row a recomputation
 /// would produce (digest-verified on load), so memoized and fresh
-/// characterizations render byte-identically — including across sweeps
-/// that only partially overlap, where the whole-triple cache misses.
+/// characterizations render byte-identically — a revisited triple replays
+/// every phase, a partially overlapping sweep the phases it shares. The
+/// memo counts the characterization as a hit when every phase replayed
+/// and as a miss otherwise.
 pub fn characterize_system_memo(
     spec: &ClusterSpec,
     config: &IoConfig,
     opts: &CharacterizeOptions,
     memo: Option<&CharactMemo>,
 ) -> Result<PerfTableSet, CharactError> {
+    let mut phases = PhaseMemo {
+        memo,
+        machine: memo.map_or_else(String::new, |_| format!("{spec:?}|{config:?}")),
+        measured: false,
+    };
     let mut set = PerfTableSet::new(spec.name.clone(), config.name.clone());
-    for &level in &opts.levels {
-        let table = match level {
-            IoLevel::Library => characterize_library_level(spec, config, opts, memo)?,
-            IoLevel::GlobalFs | IoLevel::LocalFs => {
-                characterize_fs_level(spec, config, opts, level, memo)?
-            }
-            // The metadata path is rate-characterized by the mdtest
-            // workloads, not the IOzone/IOR bandwidth sweep.
-            IoLevel::Metadata => continue,
-        };
-        set.set(level, table);
+    let mut sweep = || -> Result<(), CharactError> {
+        for &level in &opts.levels {
+            let table = match level {
+                IoLevel::Library => characterize_library_level(spec, config, opts, &mut phases)?,
+                IoLevel::GlobalFs | IoLevel::LocalFs => {
+                    characterize_fs_level(spec, config, opts, level, &mut phases)?
+                }
+                // The metadata path is rate-characterized by the mdtest
+                // workloads, not the IOzone/IOR bandwidth sweep.
+                IoLevel::Metadata => continue,
+            };
+            set.set(level, table);
+        }
+        Ok(())
+    };
+    let swept = sweep();
+    if let Some(m) = memo {
+        m.count_characterization(!phases.measured);
     }
-    Ok(set)
+    swept.map(|()| set)
 }
 
 /// Phase 1b: characterizes an application by running its scenario under
@@ -491,10 +528,12 @@ mod tests {
         let (h0, m0) = memo.phase_stats();
         assert_eq!(h0, 0, "cold memo cannot hit");
         assert!(m0 > 0, "every point is a phase miss on a cold memo");
+        assert_eq!(memo.stats(), (0, 1), "a cold characterization is a miss");
         let warm = characterize_system_memo(&spec, &config, &opts, Some(&memo)).unwrap();
         let (h1, m1) = memo.phase_stats();
         assert_eq!(h1, m0, "warm rerun must replay every point");
         assert_eq!(m1, m0);
+        assert_eq!(memo.stats(), (1, 1), "an all-phase replay is a hit");
 
         assert_eq!(fresh.to_json(), first.to_json());
         assert_eq!(fresh.to_json(), warm.to_json());
@@ -517,10 +556,41 @@ mod tests {
         let (hits2, misses2) = memo.phase_stats();
         assert_eq!(hits2, misses, "every shared point must be a phase hit");
         assert_eq!(misses2 - misses, 2, "only the new block's two ops run");
+        assert_eq!(memo.stats(), (0, 2), "one computed phase makes a miss");
 
         // And the memo-assisted wide sweep matches a fresh wide sweep.
         let fresh = characterize_system(&spec, &config, &wide).unwrap();
         assert_eq!(fresh.to_json(), set.to_json());
+    }
+
+    #[test]
+    fn phase_keys_distinguish_every_input() {
+        // A memo warmed on one (spec, config, options) triple replays it,
+        // and replays nothing for a triple that differs in any one input.
+        let (spec, config) = quick_setup();
+        let mut opts = CharacterizeOptions::quick();
+        opts.levels = vec![IoLevel::Library];
+        opts.ior_blocks = vec![MIB];
+        let mut spec2 = spec.clone();
+        spec2.seed ^= 1;
+        let config2 = IoConfigBuilder::new(DeviceLayout::Raid1).build();
+        let mut opts2 = opts.clone();
+        opts2.ior_ranks += 1;
+
+        let memo = crate::memo::CharactMemo::new();
+        characterize_system_memo(&spec, &config, &opts, Some(&memo)).unwrap();
+        characterize_system_memo(&spec, &config, &opts, Some(&memo)).unwrap();
+        assert_eq!(memo.stats(), (1, 1));
+        for (s, c, o) in [
+            (&spec2, &config, &opts),
+            (&spec, &config2, &opts),
+            (&spec, &config, &opts2),
+        ] {
+            let (hits, _) = memo.phase_stats();
+            characterize_system_memo(s, c, o, Some(&memo)).unwrap();
+            assert_eq!(memo.phase_stats().0, hits, "no phase may replay");
+        }
+        assert_eq!(memo.stats(), (1, 4));
     }
 
     #[test]

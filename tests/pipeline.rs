@@ -370,10 +370,9 @@ fn pfs_configs_characterize_their_own_architecture() {
 
 #[test]
 fn supervised_campaign_is_jobs_invariant() {
-    // CI runs this test twice: once in the default lane and once with
-    // IOEVAL_JOBS=4. The campaign under the environment's worker count
-    // must render byte-identically to the sequential reference — the
-    // parallel scheduler's whole contract in one assertion.
+    // The campaign on four workers must render byte-identically to the
+    // sequential reference — the parallel scheduler's whole contract in
+    // one assertion.
     let spec = test_spec();
     let configs = vec![
         IoConfigBuilder::new(DeviceLayout::Jbod)
@@ -399,10 +398,6 @@ fn supervised_campaign_is_jobs_invariant() {
     };
     let apps: Vec<AppFactory> = vec![("btio-full", &full), ("btio-simple", &simple)];
     let opts = CharacterizeOptions::quick();
-    let env_jobs = std::env::var("IOEVAL_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
 
     let run = |jobs: usize| {
         let sup = SuperviseOptions::default().with_jobs(jobs);
@@ -411,14 +406,11 @@ fn supervised_campaign_is_jobs_invariant() {
     let reference = run(1);
     assert_eq!(reference.outcomes.len(), 4);
     assert!(!reference.is_degraded());
-    if env_jobs > 1 {
-        let parallel = run(env_jobs);
-        assert_eq!(
-            reference.render(),
-            parallel.render(),
-            "IOEVAL_JOBS={env_jobs} diverged from sequential"
-        );
-    }
+    assert_eq!(
+        reference.render(),
+        run(4).render(),
+        "jobs = 4 diverged from sequential"
+    );
 }
 
 #[test]
