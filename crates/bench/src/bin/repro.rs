@@ -360,15 +360,16 @@ fn main() {
                 output
             }
         };
-        println!("\n######## {id} ########\n{output}");
-        full_output.push_str(&format!("\n######## {id} ########\n{output}"));
+        let block = format!("\n######## {id} ########\n{output}\n");
+        print!("{block}");
+        full_output.push_str(&block);
     }
     if metrics {
         let block = match repro.metrics_report() {
-            Some(table) => format!("\n######## metrics ########\n{table}"),
-            None => "\n######## metrics ########\n(no cells observed)\n".to_string(),
+            Some(table) => format!("\n######## metrics ########\n{table}\n"),
+            None => "\n######## metrics ########\n(no cells observed)\n\n".to_string(),
         };
-        println!("{block}");
+        print!("{block}");
         full_output.push_str(&block);
     }
     if let Some(path) = trace_out {

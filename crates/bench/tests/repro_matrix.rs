@@ -5,7 +5,8 @@
 //! `--checkpoint` run, a `--resume` of that checkpoint with every
 //! whole-experiment artifact (`exp-*.json`) deleted, and a resume of a
 //! checkpointed run SIGKILLed as soon as its first checkpoint file
-//! appeared must all print exactly the same stdout — no line filtered.
+//! appeared must all print exactly the same stdout — no line filtered —
+//! and the checkpointed run's `--out` file must equal its stdout.
 //! Per-experiment rows then check what each experiment must show: chaos
 //! runs heal and resume clean, io500 scores both backends, the resilience
 //! PFS rows fail over without I/O errors, and the scenario grid matches
@@ -171,12 +172,13 @@ fn checkpointed_run_and_cell_level_resume_render_byte_identically() {
         format!("{dir}/first.txt"),
         format!("{dir}/resumed.txt"),
     );
+    let read = |p: &str| std::fs::read_to_string(p).expect("--out file");
     let first = run(&["--checkpoint", &ckpt, "--out", &first_out, "all"]);
     assert_same(&first.stdout, &clean().stdout, "--checkpoint vs clean");
+    assert_same(&read(&first_out), &first.stdout, "--out vs stdout");
     remove_experiment_artifacts(&ckpt);
     let resumed = run(&["--resume", &ckpt, "--out", &resumed_out, "all"]);
     assert_same(&resumed.stdout, &clean().stdout, "resume vs clean");
-    let read = |p: &str| std::fs::read_to_string(p).expect("--out file");
     assert_same(&read(&resumed_out), &read(&first_out), "resume --out");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,7 +7,7 @@
 //! *rank-invariant* (see [`mpisim::Machine::rank_invariant`]):
 //!
 //! * storage transport is priced by the fabric's pure
-//!   [`netsim::HierFabric::uncontended_delivery`] closed form over the
+//!   [`netsim::Fabric::uncontended_delivery`] closed form over the
 //!   host → PFS path, which every host pays identically (the PFS attaches
 //!   at the spine, so the path never depends on the rack);
 //! * each host owns a *private* [`FifoResource`] modelling its PFS slice,
@@ -15,17 +15,17 @@
 //!   cross-rank state exists;
 //! * metadata verbs cost a fixed service plus a zero-byte round trip.
 //!
-//! MPI traffic still rides the stateful [`netsim::HierFabric`] — but any
-//! program using point-to-point messaging is unsigned and executes
-//! granularly anyway. Degrading the storage system voids the symmetry
-//! certificate: a PFS in recovery interferes with clients in ways that
-//! are not provably uniform, so the machine answers
-//! `rank_invariant() == false` and the runtime falls back to full
-//! per-rank execution.
+//! MPI traffic still rides the stateful leaf-spine [`netsim::Fabric`] —
+//! but any program using point-to-point messaging is unsigned and executes
+//! granularly anyway. Faults degrade the storage slices, never the fabric.
+//! Degrading the storage system voids the symmetry certificate: a PFS in
+//! recovery interferes with clients in ways that are not provably uniform,
+//! so the machine answers `rank_invariant() == false` and the runtime
+//! falls back to full per-rank execution.
 
 use fs::FileId;
 use mpisim::Machine;
-use netsim::{HierFabric, HierParams, HierTopology, NodeId};
+use netsim::{Fabric, HierParams, HierTopology, NodeId};
 use simcore::{Bandwidth, FifoResource, Time};
 
 /// Hardware description of the scale testbed.
@@ -83,7 +83,7 @@ pub fn scale_1024() -> ScaleSpec {
 /// The [`Machine`] implementation of the scale testbed.
 pub struct ScaleMachine {
     spec: ScaleSpec,
-    fabric: HierFabric,
+    fabric: Fabric,
     /// Per-host PFS bandwidth slice (private — the only stateful storage
     /// resource, so costs stay rank-invariant).
     slices: Vec<FifoResource>,
@@ -100,7 +100,7 @@ impl ScaleMachine {
             racks: spec.racks,
             hosts_per_rack: spec.hosts_per_rack,
         };
-        let fabric = HierFabric::new(topo, spec.net);
+        let fabric = Fabric::leaf_spine(topo, spec.net);
         let n = topo.nodes();
         let meta_rt = Self::pfs_path_time(&fabric, 0) * 2;
         ScaleMachine {
@@ -131,7 +131,7 @@ impl ScaleMachine {
     /// PFS attaches at the spine, so every host pays the cross-rack path;
     /// with a single rack the leaf is the spine and the same-rack path
     /// applies. Node-independent by construction.
-    fn pfs_path_time(fabric: &HierFabric, bytes: u64) -> Time {
+    fn pfs_path_time(fabric: &Fabric, bytes: u64) -> Time {
         let topo = fabric.topology();
         let partner = if topo.racks > 1 {
             topo.hosts_per_rack

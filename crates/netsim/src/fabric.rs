@@ -1,4 +1,5 @@
-//! Switched full-duplex fabric with frame-level interleaving.
+//! Switched full-duplex fabric with frame-level interleaving, flat or
+//! cabled as racks under a leaf-spine core.
 
 use serde::{Deserialize, Serialize};
 use simcore::stats::TransferMeter;
@@ -61,28 +62,106 @@ pub struct NetMeter {
     pub messages: u64,
 }
 
-/// A non-blocking switch with one full-duplex link per node.
+/// Shape of a rack hierarchy: `racks` leaf switches of `hosts_per_rack`
+/// hosts each, joined by a spine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HierTopology {
+    /// Number of racks.
+    pub racks: usize,
+    /// Hosts per rack.
+    pub hosts_per_rack: usize,
+}
+
+impl HierTopology {
+    /// Total number of hosts.
+    pub fn nodes(&self) -> usize {
+        self.racks * self.hosts_per_rack
+    }
+
+    /// Rack containing `node`.
+    pub fn rack_of(&self, node: NodeId) -> usize {
+        node / self.hosts_per_rack
+    }
+}
+
+/// Parameters of a leaf-spine fabric: the edge-link/frame parameters of a
+/// flat fabric plus the switching-core hop latencies.
+#[derive(Clone, Copy, Debug)]
+pub struct HierParams {
+    /// Edge-link characteristics (bandwidth, latency, frames, overhead).
+    pub fabric: FabricParams,
+    /// Extra one-way latency per leaf-switch traversal.
+    pub leaf_hop: Time,
+    /// Extra one-way latency for crossing the spine.
+    pub spine_hop: Time,
+}
+
+impl HierParams {
+    /// Gigabit Ethernet edges under a leaf-spine core with microsecond-
+    /// scale cut-through switches.
+    pub fn leaf_spine_gigabit() -> HierParams {
+        HierParams {
+            fabric: FabricParams::gigabit_ethernet(),
+            leaf_hop: Time::from_micros(5),
+            spine_hop: Time::from_micros(15),
+        }
+    }
+}
+
+/// A non-blocking switched core with one full-duplex link per node.
 ///
 /// A message from `a` to `b` serializes on `a`'s TX link and `b`'s RX link
 /// frame by frame (TX of frame *k+1* overlaps RX of frame *k*, so long
 /// transfers run at wire speed); delivery is when the last frame clears the
-/// RX link plus propagation latency. Messages on a common link are served
-/// FIFO, so concurrent workloads interleave at message/RPC granularity —
-/// the resolution the cluster I/O models need.
+/// RX link plus the path's propagation and switching latency. Messages on a
+/// common link are served FIFO, so concurrent workloads interleave at
+/// message/RPC granularity — the resolution the cluster I/O models need.
+///
+/// The core is cabled as racks under leaf switches joined by a spine
+/// ([`Fabric::leaf_spine`]); since it never blocks, it adds only hop
+/// latency: one leaf hop within a rack, two leaf hops and a spine hop
+/// across racks. A flat switch ([`Fabric::new`]) is one rack with
+/// zero-latency hops.
 pub struct Fabric {
     params: FabricParams,
+    topo: HierTopology,
+    /// One-way latency of a same-rack path (link plus one leaf hop).
+    near: Time,
+    /// One-way latency of a cross-rack path (link, two leaf hops, spine).
+    far: Time,
     tx: Vec<FifoResource>,
     rx: Vec<FifoResource>,
     meter: NetMeter,
 }
 
 impl Fabric {
-    /// A fabric connecting `nodes` endpoints.
+    /// A flat switch connecting `nodes` endpoints.
     pub fn new(nodes: usize, params: FabricParams) -> Fabric {
+        let topo = HierTopology {
+            racks: 1,
+            hosts_per_rack: nodes,
+        };
+        Fabric::leaf_spine(
+            topo,
+            HierParams {
+                fabric: params,
+                leaf_hop: Time::ZERO,
+                spine_hop: Time::ZERO,
+            },
+        )
+    }
+
+    /// A rack/leaf-spine fabric over `topo`.
+    pub fn leaf_spine(topo: HierTopology, params: HierParams) -> Fabric {
+        let n = topo.nodes();
+        let near = params.fabric.link.latency + params.leaf_hop;
         Fabric {
-            params,
-            tx: vec![FifoResource::new(); nodes],
-            rx: vec![FifoResource::new(); nodes],
+            params: params.fabric,
+            topo,
+            near,
+            far: near + params.leaf_hop + params.spine_hop,
+            tx: vec![FifoResource::new(); n],
+            rx: vec![FifoResource::new(); n],
             meter: NetMeter::default(),
         }
     }
@@ -90,6 +169,11 @@ impl Fabric {
     /// Number of endpoints.
     pub fn nodes(&self) -> usize {
         self.tx.len()
+    }
+
+    /// The rack topology (one rack for a flat switch).
+    pub fn topology(&self) -> HierTopology {
+        self.topo
     }
 
     /// Fabric parameters.
@@ -102,6 +186,17 @@ impl Fabric {
         &self.meter
     }
 
+    /// One-way link and switching latency of the path `from` → `to`.
+    #[inline]
+    fn path_latency(&self, from: NodeId, to: NodeId) -> Time {
+        // A single rack never pays the division of `rack_of`.
+        if self.topo.racks > 1 && self.topo.rack_of(from) != self.topo.rack_of(to) {
+            self.far
+        } else {
+            self.near
+        }
+    }
+
     /// Sends `bytes` from `from` to `to` starting at `now`; returns the
     /// delivery instant at the receiver.
     pub fn send(&mut self, now: Time, from: NodeId, to: NodeId, bytes: u64) -> Time {
@@ -110,33 +205,14 @@ impl Fabric {
             // Loopback: memory copy, no link involvement.
             now + self.params.per_msg_overhead + self.params.loopback_bw.time_for(bytes)
         } else {
-            let bw = self.params.link.bandwidth;
-            let frame = self.params.max_frame;
-            let t0 = now + self.params.per_msg_overhead;
-            let last_rx_end = if bytes <= frame {
-                // Single frame (zero-byte messages still cross the wire).
-                let service = bw.time_for(bytes.max(1));
-                let txg = self.tx[from].submit(t0, service);
-                self.rx[to].submit(txg.end, service).end
-            } else {
-                // F = ceil(bytes/frame) ≥ 2 frames: first and last go down
-                // individually, the F−2 full middle frames as closed-form
-                // runs. The per-frame RX chain collapses exactly: RX of
-                // frame 0 ends no earlier than TX of frame 1 (equal
-                // service), so every middle frame finds the RX link busy
-                // and queues directly behind its predecessor.
-                let full = bw.time_for(frame);
-                let tail = bytes - (bytes - 1) / frame * frame; // in (0, frame]
-                let middle = (bytes - 1) / frame - 1;
-                let txg0 = self.tx[from].submit(t0, full);
-                let rxg0 = self.rx[to].submit(txg0.end, full);
-                let tx_mid = self.tx[from].submit_run(txg0.end, full, middle);
-                let rx_mid = self.rx[to].submit_run(txg0.end + full, full, middle);
-                debug_assert_eq!(rx_mid.end, rxg0.end + full * middle);
-                let txl = self.tx[from].submit(tx_mid.end, bw.time_for(tail));
-                self.rx[to].submit(txl.end, bw.time_for(tail)).end
-            };
-            last_rx_end + self.params.link.latency
+            let last_rx_end = pipeline(
+                &mut self.tx[from],
+                &mut self.rx[to],
+                now + self.params.per_msg_overhead,
+                bytes,
+                &self.params,
+            );
+            last_rx_end + self.path_latency(from, to)
         };
         self.meter.messages += 1;
         self.meter.transfers.record(bytes, delivered - now);
@@ -148,6 +224,58 @@ impl Fabric {
             end: delivered,
         });
         delivered
+    }
+
+    /// Closed-form *duration* of an uncontended transfer (idle edge
+    /// links): pure — no fabric state is touched. Equal to what
+    /// [`Fabric::send`] at time zero returns on a fresh fabric; this is
+    /// what rank-invariant machine models price node-symmetric transport
+    /// with.
+    pub fn uncontended_delivery(&self, from: NodeId, to: NodeId, bytes: u64) -> Time {
+        assert!(from < self.nodes() && to < self.nodes(), "unknown endpoint");
+        let p = &self.params;
+        if from == to {
+            return p.per_msg_overhead + p.loopback_bw.time_for(bytes);
+        }
+        let (mut tx, mut rx) = (FifoResource::new(), FifoResource::new());
+        pipeline(&mut tx, &mut rx, p.per_msg_overhead, bytes, p) + self.path_latency(from, to)
+    }
+}
+
+/// The frame pipeline of one message entering `tx` at `t0`; returns the
+/// instant its last frame clears `rx`.
+///
+/// F = ceil(bytes/frame) frames; a single frame (zero-byte messages still
+/// cross the wire) goes down alone. Otherwise the first and last frames go
+/// down individually and the F−2 full middle frames as closed-form runs.
+/// The per-frame RX chain collapses exactly: RX of frame 0 ends no earlier
+/// than TX of frame 1 (equal service), so every middle frame finds the RX
+/// link busy and queues directly behind its predecessor.
+#[inline]
+fn pipeline(
+    tx: &mut FifoResource,
+    rx: &mut FifoResource,
+    t0: Time,
+    bytes: u64,
+    p: &FabricParams,
+) -> Time {
+    let bw = p.link.bandwidth;
+    let frame = p.max_frame;
+    if bytes <= frame {
+        let service = bw.time_for(bytes.max(1));
+        let txg = tx.submit(t0, service);
+        rx.submit(txg.end, service).end
+    } else {
+        let full = bw.time_for(frame);
+        let tail = bytes - (bytes - 1) / frame * frame; // in (0, frame]
+        let middle = (bytes - 1) / frame - 1;
+        let txg0 = tx.submit(t0, full);
+        let rxg0 = rx.submit(txg0.end, full);
+        let tx_mid = tx.submit_run(txg0.end, full, middle);
+        let rx_mid = rx.submit_run(txg0.end + full, full, middle);
+        debug_assert_eq!(rx_mid.end, rxg0.end + full * middle);
+        let txl = tx.submit(tx_mid.end, bw.time_for(tail));
+        rx.submit(txl.end, bw.time_for(tail)).end
     }
 }
 
@@ -411,61 +539,145 @@ mod tests {
         assert!(!shared.is_split());
     }
 
-    /// The pre-closed-form frame loop, kept verbatim as the reference
-    /// implementation for the equivalence test below.
-    fn reference_send(f: &mut Fabric, now: Time, from: usize, to: usize, bytes: u64) -> Time {
-        let params = f.params;
-        let bw = params.link.bandwidth;
-        let mut remaining = bytes;
-        let mut t = now + params.per_msg_overhead;
-        let mut last_rx_end;
-        loop {
-            let frame = remaining.min(params.max_frame);
-            let service = bw.time_for(frame.max(1).min(remaining.max(1)));
-            let txg = f.tx[from].submit(t, service);
-            let rxg = f.rx[to].submit(txg.end, service);
-            last_rx_end = rxg.end;
-            t = txg.end;
-            if remaining <= params.max_frame {
-                break;
+    /// The per-frame loop, kept as the reference implementation for the
+    /// equivalence test below: one TX and one RX submit per frame, then
+    /// the link latency plus the path's switch hops under `hops`.
+    fn reference_send(
+        f: &mut Fabric,
+        hops: &HierParams,
+        now: Time,
+        from: usize,
+        to: usize,
+        bytes: u64,
+    ) -> Time {
+        let params = hops.fabric;
+        let delivered = if from == to {
+            now + params.per_msg_overhead + params.loopback_bw.time_for(bytes)
+        } else {
+            let bw = params.link.bandwidth;
+            let mut remaining = bytes;
+            let mut t = now + params.per_msg_overhead;
+            let mut last_rx_end;
+            loop {
+                let frame = remaining.min(params.max_frame);
+                let service = bw.time_for(frame.max(1).min(remaining.max(1)));
+                let txg = f.tx[from].submit(t, service);
+                let rxg = f.rx[to].submit(txg.end, service);
+                last_rx_end = rxg.end;
+                t = txg.end;
+                if remaining <= params.max_frame {
+                    break;
+                }
+                remaining -= frame;
             }
-            remaining -= frame;
-        }
+            let mut latency = params.link.latency + hops.leaf_hop;
+            if f.topo.rack_of(from) != f.topo.rack_of(to) {
+                latency = latency + hops.leaf_hop + hops.spine_hop;
+            }
+            last_rx_end + latency
+        };
         f.meter.messages += 1;
-        f.meter
-            .transfers
-            .record(bytes, last_rx_end + params.link.latency - now);
-        last_rx_end + params.link.latency
+        f.meter.transfers.record(bytes, delivered - now);
+        delivered
     }
 
-    #[test]
-    fn closed_form_send_matches_the_frame_loop() {
-        let params = FabricParams::gigabit_ethernet();
-        let mut fast = Fabric::new(4, params);
-        let mut slow = Fabric::new(4, params);
-        let mut rng = SplitMix64::new(0xfab);
+    /// Drives `make()`'s fabric and the reference loop over the same
+    /// randomized sends, with endpoints drawn by `pair`.
+    fn assert_matches_frame_loop(
+        make: impl Fn() -> Fabric,
+        hops: HierParams,
+        seed: u64,
+        pair: impl Fn(&mut SplitMix64) -> (usize, usize),
+    ) {
+        let frame = hops.fabric.max_frame;
+        let (mut fast, mut slow) = (make(), make());
+        let mut rng = SplitMix64::new(seed);
         let mut now = Time::ZERO;
-        for i in 0..200u64 {
-            let from = (rng.next_below(3)) as usize;
-            let to = 3usize;
+        for i in 0..300u64 {
+            let (from, to) = pair(&mut rng);
             // Sizes straddle every regime: sub-frame, exact multiples,
-            // multi-frame with tails, and the occasional huge transfer.
+            // multi-frame with tails, zero, and the occasional huge one.
             let bytes = match i % 5 {
-                0 => rng.next_below(params.max_frame),
-                1 => params.max_frame * (1 + rng.next_below(4)),
-                2 => params.max_frame * (2 + rng.next_below(64)) + 1 + rng.next_below(1000),
+                0 => rng.next_below(frame),
+                1 => frame * (1 + rng.next_below(4)),
+                2 => frame * (2 + rng.next_below(64)) + 1 + rng.next_below(1000),
                 3 => 0,
                 _ => rng.next_below(256 * MIB),
             };
             let a = fast.send(now, from, to, bytes);
-            let b = reference_send(&mut slow, now, from, to, bytes);
+            let b = reference_send(&mut slow, &hops, now, from, to, bytes);
             assert_eq!(a, b, "delivery diverged at message {i} ({bytes} bytes)");
-            now += Time::from_micros(rng.next_below(500));
+            now += Time::from_micros(rng.next_below(5000));
         }
         assert_eq!(fast.meter().messages, slow.meter().messages);
         assert_eq!(
             fast.meter().transfers.bytes(),
             slow.meter().transfers.bytes()
+        );
+    }
+
+    fn flat_hops() -> HierParams {
+        HierParams {
+            fabric: FabricParams::gigabit_ethernet(),
+            leaf_hop: Time::ZERO,
+            spine_hop: Time::ZERO,
+        }
+    }
+
+    /// Four racks of four hosts.
+    fn leaf_spine() -> Fabric {
+        let topo = HierTopology {
+            racks: 4,
+            hosts_per_rack: 4,
+        };
+        Fabric::leaf_spine(topo, HierParams::leaf_spine_gigabit())
+    }
+
+    #[test]
+    fn closed_form_send_matches_the_frame_loop() {
+        // Flat: three senders converge on one receiver.
+        assert_matches_frame_loop(
+            || fabric(4),
+            flat_hops(),
+            0xfab,
+            |rng| (rng.next_below(3) as usize, 3),
+        );
+        // Leaf-spine: any pair, same rack, cross rack or loopback.
+        let any = |rng: &mut SplitMix64| (rng.next_below(16) as usize, rng.next_below(16) as usize);
+        assert_matches_frame_loop(leaf_spine, HierParams::leaf_spine_gigabit(), 0x41e7, any);
+    }
+
+    #[test]
+    fn uncontended_delivery_equals_a_send_on_a_fresh_fabric() {
+        let mut rng = SplitMix64::new(0x9007e);
+        for i in 0..100u64 {
+            let (from, to) = (rng.next_below(16) as usize, rng.next_below(16) as usize);
+            let bytes = rng.next_below(8 * MIB);
+            for make in [|| fabric(16), leaf_spine] {
+                let quoted = make().uncontended_delivery(from, to, bytes);
+                let sent = make().send(Time::ZERO, from, to, bytes);
+                assert_eq!(quoted, sent, "case {i}: {from}->{to}, {bytes} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn uncontended_delivery_is_pure() {
+        let mut f = leaf_spine();
+        let d1 = f.uncontended_delivery(0, 9, MIB);
+        f.send(Time::ZERO, 0, 9, 64 * MIB); // congest the pair
+        let d2 = f.uncontended_delivery(0, 9, MIB);
+        assert_eq!(d1, d2, "uncontended_delivery must ignore fabric state");
+    }
+
+    #[test]
+    fn same_rack_is_faster_than_cross_rack() {
+        let hops = HierParams::leaf_spine_gigabit();
+        let local = leaf_spine().send(Time::ZERO, 0, 1, 4096); // rack 0 → rack 0
+        let remote = leaf_spine().send(Time::ZERO, 0, 5, 4096); // rack 0 → rack 1
+        assert!(
+            remote > local + hops.leaf_hop + hops.spine_hop - Time::from_nanos(1),
+            "cross-rack {remote:?} vs same-rack {local:?}"
         );
     }
 

@@ -4,20 +4,20 @@
 //! for communication and the other for data"). This crate models that:
 //!
 //! * [`Fabric`] — a full-duplex switched network: every node owns a TX and an
-//!   RX link to a non-blocking switch; messages are fragmented into frames so
-//!   concurrent flows toward a common endpoint interleave (approximate fair
-//!   sharing), and each message pays a protocol-stack overhead plus
-//!   propagation latency.
+//!   RX link to a non-blocking switching core; messages are fragmented into
+//!   frames so concurrent flows toward a common endpoint interleave
+//!   (approximate fair sharing), and each message pays a protocol-stack
+//!   overhead plus propagation latency. The core is a flat switch or, for
+//!   thousand-node scale-out runs, racks under a leaf-spine
+//!   ([`HierTopology`], [`HierParams`]) that adds per-hop switching latency.
 //! * [`Network`] — one or two fabrics plus a routing policy
 //!   ([`TrafficClass`]): in a *shared* layout MPI traffic and storage traffic
 //!   contend on one fabric; in a *split* layout each class gets its own — the
 //!   configurable factor the paper varies ("number and type of network").
-//! * [`HierFabric`] — a rack/leaf-spine hierarchy for thousand-node
-//!   scale-out runs: stateful per-host edge links under a non-blocking
-//!   core, with closed-form fast paths gated by a fault horizon.
 
 pub mod fabric;
-pub mod hier;
 
-pub use fabric::{Fabric, FabricParams, LinkParams, NetMeter, Network, NodeId, TrafficClass};
-pub use hier::{HierFabric, HierParams, HierTopology};
+pub use fabric::{
+    Fabric, FabricParams, HierParams, HierTopology, LinkParams, NetMeter, Network, NodeId,
+    TrafficClass,
+};

@@ -37,7 +37,7 @@ pub use chaos::{ChaosAction, ChaosProfile, ChaosSite, HostFaultPlan};
 pub use faults::{Fault, FaultEvent, FaultProfile, FaultSchedule, NetClass};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher64};
 pub use progress::{Abort, Watchdog, WatchdogSpec};
-pub use queue::{EventHandle, EventQueue};
+pub use queue::EventQueue;
 pub use resource::{FifoResource, MultiResource};
 pub use rng::{seed_for, SplitMix64};
 pub use time::{Bandwidth, Time};

@@ -20,35 +20,12 @@
 //! four-ary layout halves the tree depth, which trades slightly more
 //! comparisons per sift-down for far fewer cache misses on the hot pop
 //! path.
-//!
-//! Cancellation ([`EventQueue::cancel`]) is *lazy*: the slot's payload is
-//! taken out immediately, but the heap entry stays behind as a tombstone
-//! until it surfaces at the top, where it is purged. No decrease-key or
-//! arbitrary-position removal is ever needed, so the heap stays a flat
-//! array of `u32` indices.
 
 use crate::time::Time;
 
 /// Heap arity. Four keeps parent/child arithmetic shift-based and the tree
 /// shallow; benchmarks on the simulator's event mix favour it over binary.
 const D: usize = 4;
-
-/// A handle to a scheduled event, returned by
-/// [`EventQueue::schedule_cancellable`]. Handles are generation-checked:
-/// once the event is delivered or cancelled the handle goes stale and
-/// [`EventQueue::cancel`] returns `None`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventHandle {
-    idx: u32,
-    gen: u32,
-}
-
-struct Slot<T> {
-    gen: u32,
-    /// `Some` while the event is pending; `None` for a cancelled tombstone
-    /// still sitting in the heap, or a vacant slot on the free list.
-    item: Option<T>,
-}
 
 /// One heap entry: the full ordering key plus the payload's slot. Keeping
 /// the key here (instead of dereferencing `slot`) makes every sift
@@ -69,14 +46,13 @@ impl HeapEntry {
 
 /// A time-ordered queue of events with stable FIFO tie-breaking.
 pub struct EventQueue<T> {
-    slots: Vec<Slot<T>>,
+    /// Payload arena: `Some` while the event is pending, `None` for a
+    /// vacant slot on the free list.
+    slots: Vec<Option<T>>,
     /// Vacant slot indices available for reuse.
     free: Vec<u32>,
     /// Four-ary min-heap keyed by `(at, seq)`.
     heap: Vec<HeapEntry>,
-    /// Pending (non-cancelled) events; `heap` may be longer by the number
-    /// of tombstones below the top.
-    live: usize,
     next_seq: u64,
     now: Time,
 }
@@ -94,7 +70,6 @@ impl<T> EventQueue<T> {
             slots: Vec::new(),
             free: Vec::new(),
             heap: Vec::new(),
-            live: 0,
             next_seq: 0,
             now: Time::ZERO,
         }
@@ -110,18 +85,6 @@ impl<T> EventQueue<T> {
     ///
     /// Scheduling in the past is a logic error in the caller; the queue
     /// panics (in debug and release) rather than silently reordering time.
-    pub fn schedule(&mut self, at: Time, item: T) {
-        self.schedule_cancellable(at, item);
-    }
-
-    /// Schedules `item` at `now() + delay`.
-    pub fn schedule_after(&mut self, delay: Time, item: T) {
-        let at = self.now + delay;
-        self.schedule(at, item);
-    }
-
-    /// Like [`EventQueue::schedule`], but returns a handle that can later
-    /// be passed to [`EventQueue::cancel`].
     ///
     /// Panic audit (campaign-worker reachability): the past-scheduling
     /// assert below fires only on a caller logic error — every scheduling
@@ -129,7 +92,7 @@ impl<T> EventQueue<T> {
     /// no op-program or configuration input can produce it, so it stays a
     /// panic (caught by the worker's panic isolation if a model bug ever
     /// introduces one) rather than a typed error on the hot path.
-    pub fn schedule_cancellable(&mut self, at: Time, item: T) -> EventHandle {
+    pub fn schedule(&mut self, at: Time, item: T) {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at:?} now={:?}",
@@ -137,9 +100,9 @@ impl<T> EventQueue<T> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = match self.free.pop() {
+        let slot = match self.free.pop() {
             Some(idx) => {
-                self.slots[idx as usize].item = Some(item);
+                self.slots[idx as usize] = Some(item);
                 idx
             }
             None => {
@@ -148,98 +111,42 @@ impl<T> EventQueue<T> {
                 // budgets abort runaway simulations long before. Invariant,
                 // not an input-reachable failure.
                 let idx = u32::try_from(self.slots.len()).expect("event arena exceeds u32 slots");
-                self.slots.push(Slot {
-                    gen: 0,
-                    item: Some(item),
-                });
+                self.slots.push(Some(item));
                 idx
             }
         };
-        self.heap.push(HeapEntry { at, seq, slot: idx });
+        self.heap.push(HeapEntry { at, seq, slot });
         self.sift_up(self.heap.len() - 1);
-        self.live += 1;
-        EventHandle {
-            idx,
-            gen: self.slots[idx as usize].gen,
-        }
-    }
-
-    /// Cancels a pending event, returning its payload. Returns `None` when
-    /// the handle is stale (the event was already delivered or cancelled).
-    ///
-    /// The heap entry is *not* removed here; it becomes a tombstone that is
-    /// discarded when it reaches the top (lazy deletion — no decrease-key,
-    /// no arbitrary-position removal).
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<T> {
-        let slot = self.slots.get_mut(handle.idx as usize)?;
-        if slot.gen != handle.gen {
-            return None;
-        }
-        let item = slot.item.take()?;
-        self.live -= 1;
-        // Keep the invariant that the heap top, if any, is a live event, so
-        // `peek_time` stays O(1) and borrow-free.
-        self.purge_dead_top();
-        Some(item)
     }
 
     /// Removes and returns the earliest event, advancing [`Self::now`].
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        let &top = self.heap.first()?;
-        // The top is live by invariant (tombstones are purged as soon as
-        // they surface). Panic audit: the expect below is unreachable
-        // unless the purge discipline itself regresses — a heap bug, not
+        if self.heap.is_empty() {
+            return None;
+        }
+        let top = self.heap.swap_remove(0);
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
+        // Panic audit: every heap entry owns a pending payload, so the
+        // expect is unreachable unless the heap itself regresses — not
         // anything an op program or configuration can trigger.
         let item = self.slots[top.slot as usize]
-            .item
             .take()
-            .expect("top is live");
-        self.live -= 1;
-        self.remove_top();
-        self.purge_dead_top();
+            .expect("heap entry has a payload");
+        self.free.push(top.slot);
         self.now = top.at;
         Some((top.at, item))
     }
 
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.first().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Removes `heap[0]`, retiring its slot to the free list.
-    fn remove_top(&mut self) {
-        let top = self.heap.swap_remove(0);
-        self.retire(top.slot);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-    }
-
-    /// Discards cancelled entries that surfaced at the heap top.
-    fn purge_dead_top(&mut self) {
-        while let Some(&e) = self.heap.first() {
-            if self.slots[e.slot as usize].item.is_some() {
-                break;
-            }
-            self.remove_top();
-        }
-    }
-
-    fn retire(&mut self, idx: u32) {
-        let slot = &mut self.slots[idx as usize];
-        slot.item = None;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(idx);
+        self.heap.is_empty()
     }
 
     fn sift_up(&mut self, mut pos: usize) {
@@ -316,18 +223,12 @@ mod tests {
     fn now_advances_with_pops() {
         let mut q = EventQueue::new();
         assert_eq!(q.now(), Time::ZERO);
-        q.schedule(Time::from_secs(2), ());
+        q.schedule(Time::from_secs(2), 1);
         q.pop();
         assert_eq!(q.now(), Time::from_secs(2));
-    }
-
-    #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from_secs(1), 1);
-        q.pop();
-        q.schedule_after(Time::from_secs(4), 2);
-        assert_eq!(q.pop(), Some((Time::from_secs(5), 2)));
+        // A relative delay is scheduled at `now() + delay`.
+        q.schedule(q.now() + Time::from_secs(4), 2);
+        assert_eq!(q.pop(), Some((Time::from_secs(6), 2)));
     }
 
     #[test]
@@ -347,11 +248,10 @@ mod tests {
         q.schedule(Time::ZERO, ());
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
-        assert_eq!(q.peek_time(), Some(Time::ZERO));
         q.pop();
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -365,68 +265,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 3);
         assert_eq!(q.pop().unwrap().1, 4);
         assert_eq!(q.pop().unwrap().1, 5);
-    }
-
-    #[test]
-    fn cancel_removes_event_and_returns_payload() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from_secs(1), "keep");
-        let h = q.schedule_cancellable(Time::from_secs(2), "drop");
-        q.schedule(Time::from_secs(3), "last");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.cancel(h), Some("drop"));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((Time::from_secs(1), "keep")));
-        assert_eq!(q.pop(), Some((Time::from_secs(3), "last")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_is_idempotent_and_stale_after_delivery() {
-        let mut q = EventQueue::new();
-        let h = q.schedule_cancellable(Time::from_secs(1), 42);
-        assert_eq!(q.cancel(h), Some(42));
-        assert_eq!(q.cancel(h), None, "double cancel");
-        let h2 = q.schedule_cancellable(Time::from_secs(2), 43);
-        assert_eq!(q.pop(), Some((Time::from_secs(2), 43)));
-        assert_eq!(q.cancel(h2), None, "cancel after delivery");
-    }
-
-    #[test]
-    fn stale_handle_does_not_cancel_reused_slot() {
-        let mut q = EventQueue::new();
-        let h = q.schedule_cancellable(Time::from_secs(1), 1u32);
-        q.pop();
-        // The delivered event's slot is reused; the old handle must not
-        // reach the new occupant.
-        let _h2 = q.schedule_cancellable(Time::from_secs(2), 2u32);
-        assert_eq!(q.cancel(h), None);
-        assert_eq!(q.pop(), Some((Time::from_secs(2), 2)));
-    }
-
-    #[test]
-    fn cancelled_top_is_purged_for_peek() {
-        let mut q = EventQueue::new();
-        let h = q.schedule_cancellable(Time::from_secs(1), 1u32);
-        q.schedule(Time::from_secs(2), 2);
-        assert_eq!(q.peek_time(), Some(Time::from_secs(1)));
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(Time::from_secs(2)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn cancel_everything_empties_the_queue() {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..50)
-            .map(|i| q.schedule_cancellable(Time::from_millis(i % 7), i))
-            .collect();
-        for h in handles {
-            assert!(q.cancel(h).is_some());
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -447,32 +285,32 @@ mod tests {
 
     #[test]
     fn randomized_order_matches_reference_sort() {
-        // Deterministic pseudo-random mix of schedules and cancels checked
-        // against a sorted reference.
+        // Deterministic pseudo-random mix of schedules and pops checked
+        // against a sorted reference; popping mid-stream reuses slots
+        // while the heap is still populated.
         let mut q = EventQueue::new();
-        let mut expect: Vec<(Time, u64)> = Vec::new();
-        let mut handles = Vec::new();
+        let mut pending: Vec<(Time, u64)> = Vec::new();
         let mut x = 0x9e3779b97f4a7c15u64;
         for i in 0..500u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let at = Time::from_nanos(x % 64);
-            let h = q.schedule_cancellable(at, i);
             if x.is_multiple_of(5) {
-                handles.push((h, at, i));
+                // (at, i) order is (at, insertion) order: i only grows.
+                pending.sort();
+                let want = (!pending.is_empty()).then(|| pending.remove(0));
+                assert_eq!(q.pop(), want);
             } else {
-                expect.push((at, i));
+                let at = q.now() + Time::from_nanos(x % 64);
+                q.schedule(at, i);
+                pending.push((at, i));
             }
         }
-        for (h, _, _) in &handles {
-            assert!(q.cancel(*h).is_some());
-        }
-        expect.sort(); // (at, seq-order) — seq equals insertion index here
+        pending.sort();
         let mut got = Vec::new();
-        while let Some((at, i)) = q.pop() {
-            got.push((at, i));
+        while let Some(e) = q.pop() {
+            got.push(e);
         }
-        assert_eq!(got, expect);
+        assert_eq!(got, pending);
     }
 }

@@ -197,35 +197,39 @@ fn evaluate_cmd(args: &[String]) {
                 .unwrap_or_else(|_| die("--procs must be a number"))
         })
         .unwrap_or(16);
-    let app = app_by_name(
-        &flag(args, "--app").unwrap_or_else(|| die("--app required")),
-        procs,
-        has(args, "--quick"),
-    );
+    let app_name = flag(args, "--app").unwrap_or_else(|| die("--app required"));
+    let app = app_by_name(&app_name, procs, has(args, "--quick"));
     let name = app.name.clone();
     eprintln!(
         "[ioeval] evaluating {name} on {} / {} ...",
         spec.name, config.name
     );
-    // Optional Chrome-trace capture of the run (open in ui.perfetto.dev).
+    // Optional Chrome-trace capture of the run (open in ui.perfetto.dev):
+    // MPI ranks plus the fabric, filesystem and storage events beneath.
     if let Some(trace_path) = flag(args, "--trace") {
-        use cluster_io_eval::methodology::ChromeTraceSink;
-        use cluster_io_eval::mpisim::Runtime;
+        use cluster_io_eval::methodology::obs::{to_chrome, Collector, TraceMeta};
+        use cluster_io_eval::mpisim::{NullSink, Runtime};
         let mut machine =
             ClusterMachine::try_new(&spec, &config).expect("valid cluster configuration");
         let programs = app.install(&mut machine);
-        let mut sink = ChromeTraceSink::new(2_000_000);
-        Runtime::default().run(&mut machine, &spec.placement(procs), programs, &mut sink);
-        std::fs::write(&trace_path, sink.to_json())
+        let collector = Collector::new();
+        {
+            let _observing = collector.install();
+            let placement = spec.placement(procs);
+            Runtime::default().run(&mut machine, &placement, programs, &mut NullSink);
+        }
+        let data = collector.take();
+        let meta = TraceMeta {
+            cluster: spec.name.clone(),
+            config: config.name.clone(),
+            app: app_name,
+            ..TraceMeta::default()
+        };
+        let (events, dropped) = (data.events.len(), data.dropped);
+        std::fs::write(&trace_path, to_chrome(&[(meta, data)]))
             .unwrap_or_else(|e| die(&format!("cannot write {trace_path}: {e}")));
         eprintln!(
-            "[ioeval] wrote {trace_path} ({} events{}) — open in chrome://tracing or ui.perfetto.dev",
-            sink.len(),
-            if sink.dropped() > 0 {
-                format!(", {} dropped", sink.dropped())
-            } else {
-                String::new()
-            }
+            "[ioeval] wrote {trace_path} ({events} events, {dropped} dropped) — open in chrome://tracing or ui.perfetto.dev"
         );
         return;
     }
